@@ -228,8 +228,8 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 // BenchmarkRuntimeRawThroughput measures the dataplane itself: a linear
 // 4-operator pipeline with service padding disabled, so tuples/sec is
 // bounded by per-item synchronization overhead rather than operator
-// service time. The per-tuple, batched, and spsc mailbox transports run
-// the same plan (the spsc series uses the Auto policy — every edge of the
+// service time. The batched and spsc mailbox transports run the same
+// plan (the spsc series uses the default Auto policy — every edge of the
 // linear pipeline is analyzer-proven single-producer, so all inboxes bind
 // to the lock-free ring); the reported tuples/s are the source departure
 // rate. The *-obs
@@ -297,24 +297,20 @@ func BenchmarkRuntimeRawThroughput(b *testing.B) {
 		return tps
 	}
 	results := map[string]float64{}
-	b.Run("per-tuple", func(b *testing.B) { results["per-tuple"] = run(b, mailbox.PerTuple, false, false) })
 	b.Run("batched", func(b *testing.B) { results["batched"] = run(b, mailbox.Batched, false, false) })
 	// The linear pipeline is all single-producer edges, so the Auto policy
 	// binds every inbox to the lock-free SPSC ring: this series is the
 	// ring transport's headline number.
 	b.Run("spsc", func(b *testing.B) { results["spsc"] = run(b, mailbox.Auto, false, false) })
-	b.Run("per-tuple-obs", func(b *testing.B) { results["per-tuple-obs"] = run(b, mailbox.PerTuple, true, false) })
 	b.Run("batched-obs", func(b *testing.B) { results["batched-obs"] = run(b, mailbox.Batched, true, false) })
 	b.Run("spsc-obs", func(b *testing.B) { results["spsc-obs"] = run(b, mailbox.Auto, true, false) })
-	b.Run("per-tuple-est", func(b *testing.B) { results["per-tuple-est"] = run(b, mailbox.PerTuple, true, true) })
 	b.Run("batched-est", func(b *testing.B) { results["batched-est"] = run(b, mailbox.Batched, true, true) })
-	if path := os.Getenv("SS_BENCH_JSON"); path != "" && results["per-tuple"] > 0 {
+	if path := os.Getenv("SS_BENCH_JSON"); path != "" && results["batched"] > 0 {
 		point := struct {
 			Benchmark string             `json:"benchmark"`
 			Pipeline  int                `json:"pipeline_operators"`
 			Padding   bool               `json:"service_padding"`
 			TuplesPer map[string]float64 `json:"tuples_per_sec"`
-			Speedup   float64            `json:"batched_speedup"`
 			SPSCSpeed float64            `json:"spsc_speedup"`
 			ObsOver   map[string]float64 `json:"obs_overhead"`
 			EstOver   map[string]float64 `json:"est_overhead"`
@@ -323,16 +319,13 @@ func BenchmarkRuntimeRawThroughput(b *testing.B) {
 			Pipeline:  topo.Len(),
 			Padding:   false,
 			TuplesPer: results,
-			Speedup:   results["batched"] / results["per-tuple"],
 			SPSCSpeed: results["spsc"] / results["batched"],
 			ObsOver: map[string]float64{
-				"per-tuple": 1 - results["per-tuple-obs"]/results["per-tuple"],
-				"batched":   1 - results["batched-obs"]/results["batched"],
-				"spsc":      1 - results["spsc-obs"]/results["spsc"],
+				"batched": 1 - results["batched-obs"]/results["batched"],
+				"spsc":    1 - results["spsc-obs"]/results["spsc"],
 			},
 			EstOver: map[string]float64{
-				"per-tuple": 1 - results["per-tuple-est"]/results["per-tuple-obs"],
-				"batched":   1 - results["batched-est"]/results["batched-obs"],
+				"batched": 1 - results["batched-est"]/results["batched-obs"],
 			},
 		}
 		data, err := json.MarshalIndent(point, "", "  ")

@@ -7,10 +7,11 @@
 // so only a large sustained drop on the headline transport fails the
 // build. The optional -min-spsc-factor gate instead compares two series
 // inside the candidate record (spsc vs batched), which is noise-robust
-// and holds the single-producer ring to an actual speedup. Other series (per-tuple, the *-obs and *-est variants) and the
-// measured observability/estimator overheads are reported for the log but
-// never fail the gate on their own — each overhead has a dedicated
-// threshold flag that can be enabled on quiet hardware.
+// and holds the single-producer ring to an actual speedup. Other series
+// (the *-obs and *-est variants) and the measured observability/estimator
+// overheads are reported for the log but never fail the gate on their
+// own — each overhead has a dedicated threshold flag that can be enabled
+// on quiet hardware.
 //
 // Usage:
 //
@@ -138,15 +139,13 @@ func main() {
 		}
 		fmt.Printf("%-14s baseline %12.0f t/s  candidate %12.0f t/s  %+6.1f%%\n", k, b, c, change*100)
 	}
-	for _, k := range []string{"per-tuple", "batched", "spsc"} {
+	for _, k := range []string{"batched", "spsc"} {
 		if ov, ok := cand.ObsOver[k]; ok {
 			fmt.Printf("%-14s obs overhead %5.1f%%\n", k, ov*100)
 		}
 	}
-	for _, k := range []string{"per-tuple", "batched"} {
-		if ov, ok := cand.EstOver[k]; ok {
-			fmt.Printf("%-14s est overhead %5.1f%%\n", k, ov*100)
-		}
+	if ov, ok := cand.EstOver["batched"]; ok {
+		fmt.Printf("%-14s est overhead %5.1f%%\n", "batched", ov*100)
 	}
 
 	failed := false
@@ -194,10 +193,8 @@ func main() {
 			}
 		}
 	}
-	// The estimator gate covers only the batched series — the headline
-	// transport the throughput gate also watches; the per-tuple est
-	// overhead is reported above but never fails the build (the slow
-	// transport's relative noise would make it flaky).
+	// The estimator gate covers the batched series — the transport the
+	// throughput gate also watches.
 	if *maxEstOverhead > 0 {
 		ov, ok := cand.EstOver["batched"]
 		switch {

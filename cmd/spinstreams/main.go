@@ -511,8 +511,8 @@ func cmdRun(args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	optimize := fs.Bool("optimize", false, "apply bottleneck elimination before running")
 	nodes := fs.Int("nodes", 1, "partition the plan across N TCP-connected nodes")
-	mode := fs.String("mailbox-mode", "tuple", "dataplane transport: tuple (one channel send per item), batch (pooled micro-batches), spsc or auto (lock-free ring on analyzer-proven single-producer edges, batch elsewhere)")
-	batch := fs.Int("batch", 0, "micro-batch size in batch mode (0 = runtime default)")
+	mode := fs.String("mailbox-mode", "auto", "dataplane transport: auto or spsc (lock-free ring on analyzer-proven single-producer edges, batch elsewhere), batch (pooled micro-batches everywhere), or tuple (deprecated: batch with batch size 1)")
+	batch := fs.Int("batch", 0, "micro-batch size (0 = runtime default)")
 	linger := fs.Duration("linger", 0, "max wait before a partial batch is flushed (0 = runtime default)")
 	warmup := fs.Duration("warmup", 0, "measurement warmup excluded from the window (0 = duration/4; must be < duration)")
 	maxRestarts := fs.Int("max-restarts", 0, "restart a panicked operator up to N times, then degrade (0 = crash, <0 = unlimited)")

@@ -49,8 +49,8 @@ func run(args []string, stdout io.Writer) error {
 	outDir := fs.String("out", "", "write each scenario's data series as CSV and JSON (with run metadata) into this directory")
 	liveTopologies := fs.Int("live-topologies", 8, "testbed entries for fig7live")
 	liveDuration := fs.Duration("live-duration", 3*time.Second, "wall-clock run per topology for fig7live")
-	liveMailbox := fs.String("mailbox", "tuple", "live dataplane transport: tuple, batch, spsc or auto (per-edge ring selection)")
-	liveBatch := fs.Int("batch", 0, "live micro-batch size in batch mode (0 = runtime default)")
+	liveMailbox := fs.String("mailbox", "auto", "live dataplane transport: auto (per-edge ring selection), spsc, batch or tuple (deprecated: batch size 1)")
+	liveBatch := fs.Int("batch", 0, "live micro-batch size (0 = runtime default)")
 	liveLinger := fs.Duration("linger", 0, "live max wait before a partial batch flushes (0 = runtime default)")
 	liveRestarts := fs.Int("max-restarts", 0, "live runs: restart a panicked operator up to N times, then degrade (0 = crash, <0 = unlimited)")
 	driftTable := fs.Int("drift-table", 2, "drift: paper-example service-time variant (1 or 2)")
@@ -180,6 +180,7 @@ func runScenario(stdout io.Writer, s experiments.Scenario, opts experiments.Opti
 			Seed:           opts.Setup.Seed,
 			GeneratedAt:    start.UTC().Format(time.RFC3339),
 			ElapsedSeconds: elapsed.Seconds(),
+			Machine:        experiments.Machine(),
 		}
 		if err := writeFile(filepath.Join(outDir, "scenario_"+s.Name+".csv"), func(w io.Writer) error {
 			return experiments.WriteCSV(w, res)

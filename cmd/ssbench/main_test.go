@@ -99,6 +99,9 @@ func TestCorpusExportsCSVAndJSON(t *testing.T) {
 	if rep.Meta.GeneratedAt == "" {
 		t.Error("meta missing generated_at timestamp")
 	}
+	if !strings.Contains(rep.Meta.Machine, "GOMAXPROCS=") {
+		t.Errorf("meta machine = %q, want the host description", rep.Meta.Machine)
+	}
 	if len(rep.Rows) != 2*2*3 {
 		t.Errorf("JSON rows = %d, want %d", len(rep.Rows), 2*2*3)
 	}

@@ -169,12 +169,13 @@ func TestGeneratedProgramBuildsAndRuns(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build failed: %v\n%s\n--- generated source ---\n%s", err, out, src)
 	}
-	// Every dataplane transport must work in generated programs,
-	// including the per-edge auto policy.
+	// Every dataplane transport must work in generated programs: the
+	// default per-edge auto policy, uniform batching, and the deprecated
+	// tuple spelling.
 	for _, args := range [][]string{
 		{"-duration", "400ms"},
 		{"-duration", "400ms", "-mailbox-mode", "batch", "-batch", "16", "-linger", "500us"},
-		{"-duration", "400ms", "-mailbox-mode", "auto", "-batch", "16"},
+		{"-duration", "400ms", "-mailbox-mode", "tuple"},
 	} {
 		run := exec.Command(bin, args...)
 		out, err := run.CombinedOutput()

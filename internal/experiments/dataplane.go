@@ -48,9 +48,8 @@ func (o DataplaneOptions) withDefaults() DataplaneOptions {
 type DataplaneRow struct {
 	Transport  string
 	Throughput float64
-	// SpeedupVsTuple and SpeedupVsBatch normalize against the two
-	// uniform transports (1.0 for the respective baseline row).
-	SpeedupVsTuple float64
+	// SpeedupVsBatch normalizes against the uniform batched transport
+	// (1.0 for the batched row).
 	SpeedupVsBatch float64
 	// SPSCInboxes / MPSCInboxes count how the run bound the plan's
 	// inboxes (uniform transports bind everything to one path).
@@ -69,8 +68,9 @@ type DataplaneResult struct {
 	Rows  []DataplaneRow
 }
 
-// Dataplane measures per-tuple, batched, and analyzer-selected SPSC
-// transports on the same unpadded chain.
+// Dataplane measures the uniform batched transport and the
+// analyzer-selected SPSC rings (the default Auto policy) on the same
+// unpadded chain.
 func Dataplane(ctx context.Context, o DataplaneOptions) (*DataplaneResult, error) {
 	o = o.withDefaults()
 	topo := core.NewTopology()
@@ -107,7 +107,6 @@ func Dataplane(ctx context.Context, o DataplaneOptions) (*DataplaneResult, error
 		name string
 		mode mailbox.Mode
 	}{
-		{"per-tuple", mailbox.PerTuple},
 		{"batched", mailbox.Batched},
 		{"spsc", mailbox.Auto},
 	} {
@@ -143,12 +142,8 @@ func Dataplane(ctx context.Context, o DataplaneOptions) (*DataplaneResult, error
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	base := res.Rows[0].Throughput
-	batched := res.Rows[1].Throughput
+	batched := res.Rows[0].Throughput
 	for i := range res.Rows {
-		if base > 0 {
-			res.Rows[i].SpeedupVsTuple = res.Rows[i].Throughput / base
-		}
 		if batched > 0 {
 			res.Rows[i].SpeedupVsBatch = res.Rows[i].Throughput / batched
 		}
@@ -166,8 +161,8 @@ func CheckDataplane(r Result) error {
 	if !ok {
 		return fmt.Errorf("dataplane: unexpected result type %T", r)
 	}
-	if len(dr.Rows) != 3 {
-		return fmt.Errorf("dataplane: %d rows, want 3", len(dr.Rows))
+	if len(dr.Rows) != 2 {
+		return fmt.Errorf("dataplane: %d rows, want 2", len(dr.Rows))
 	}
 	for _, row := range dr.Rows {
 		if !row.Conserved {
@@ -177,7 +172,7 @@ func CheckDataplane(r Result) error {
 			return fmt.Errorf("dataplane %s: no throughput", row.Transport)
 		}
 	}
-	spsc := dr.Rows[2]
+	spsc := dr.Rows[1]
 	if spsc.MPSCInboxes != 0 {
 		return fmt.Errorf("dataplane: %d inboxes fell back to MPSC on a single-producer chain", spsc.MPSCInboxes)
 	}
@@ -191,10 +186,10 @@ func CheckDataplane(r Result) error {
 func (r *DataplaneResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Dataplane transports — %d-operator single-producer chain, no service padding\n", r.Depth)
-	b.WriteString("transport   tuples/s      vs tuple  vs batch  spsc-inboxes\n")
+	b.WriteString("transport   tuples/s      vs batch  spsc-inboxes\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-10s  %12.0f  %7.2fx  %7.2fx  %d/%d\n",
-			row.Transport, row.Throughput, row.SpeedupVsTuple, row.SpeedupVsBatch,
+		fmt.Fprintf(&b, "%-10s  %12.0f  %7.2fx  %d/%d\n",
+			row.Transport, row.Throughput, row.SpeedupVsBatch,
 			row.SPSCInboxes, row.SPSCInboxes+row.MPSCInboxes)
 	}
 	return b.String()
@@ -202,7 +197,7 @@ func (r *DataplaneResult) String() string {
 
 // Header implements Tabular.
 func (r *DataplaneResult) Header() []string {
-	return []string{"transport", "tuples_per_sec", "speedup_vs_tuple", "speedup_vs_batch",
+	return []string{"transport", "tuples_per_sec", "speedup_vs_batch",
 		"spsc_inboxes", "mpsc_inboxes", "conserved"}
 }
 
@@ -211,7 +206,7 @@ func (r *DataplaneResult) TableRows() [][]string {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
-			row.Transport, f(row.Throughput), f(row.SpeedupVsTuple), f(row.SpeedupVsBatch),
+			row.Transport, f(row.Throughput), f(row.SpeedupVsBatch),
 			d(row.SPSCInboxes), d(row.MPSCInboxes), fmt.Sprintf("%t", row.Conserved),
 		})
 	}

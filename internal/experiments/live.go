@@ -42,9 +42,9 @@ type LiveOptions struct {
 	// steady-state model is capacity-independent; see the buffer
 	// ablation).
 	MailboxSize int
-	// Transport selects the dataplane (per-tuple or batched); capacity
-	// stays tuple-accounted either way, so predictions must hold under
-	// both.
+	// Transport selects the dataplane policy (zero value: Auto);
+	// capacity stays tuple-accounted under every transport, so
+	// predictions must hold under each.
 	Transport mailbox.Mode
 	// Batch and Linger tune the batched transport (0 = runtime default).
 	Batch  int

@@ -160,7 +160,7 @@ func init() {
 	Register(Scenario{
 		Name:    "dataplane",
 		Tags:    []string{"live", "extension"},
-		Summary: "dataplane transports: per-tuple vs batched vs analyzer-proven SPSC ring",
+		Summary: "dataplane transports: batched vs analyzer-proven SPSC ring (the auto default)",
 		Run: func(ctx context.Context, o Options) (Result, error) {
 			return Dataplane(ctx, o.Dataplane)
 		},

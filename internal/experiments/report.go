@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	goruntime "runtime"
 	"strconv"
+	"strings"
 )
 
 // Tabular is implemented by experiment results that can export their data
@@ -38,6 +42,28 @@ type RunMeta struct {
 	Seed           uint64  `json:"seed"`
 	GeneratedAt    string  `json:"generated_at,omitempty"`
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
+	// Machine records where a wall-clock scenario ran (see Machine).
+	Machine string `json:"machine,omitempty"`
+}
+
+// Machine describes the host a live measurement ran on: OS/arch, Go
+// version, GOMAXPROCS, logical CPU count and, where /proc/cpuinfo
+// exists, the CPU model.
+func Machine() string {
+	s := fmt.Sprintf("%s/%s %s GOMAXPROCS=%d NumCPU=%d", goruntime.GOOS, goruntime.GOARCH,
+		goruntime.Version(), goruntime.GOMAXPROCS(0), goruntime.NumCPU())
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return s
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return s + " cpu=" + strings.TrimSpace(v)
+		}
+	}
+	return s
 }
 
 // JSONReport is the on-disk JSON schema: run metadata plus the same

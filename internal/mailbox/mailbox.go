@@ -1,26 +1,27 @@
 // Package mailbox is the runtime's dataplane: a bounded, tuple-capacity-
 // accounted queue connecting one producer set to a single consumer actor.
-// It offers three interchangeable transports behind one API:
+// It offers two transports behind one API:
 //
-//   - PerTuple: each item is one bounded-channel operation — the classic
-//     Akka BoundedMailbox analog the cost models were validated against.
 //   - Batched: senders accumulate items into pooled micro-batches (flushed
 //     on batch-full or after a linger timeout so low-rate edges don't
 //     stall) and the consumer drains whole batches, amortizing the
-//     synchronization cost of a queue operation over many tuples.
+//     synchronization cost of a queue operation over many tuples. It is
+//     the multi-producer (MPSC) path.
 //   - SPSC: a lock-free cached-index ring for inboxes the topology
 //     analyzer proves have a single producer station — no mutex, no
 //     channel, no credit CAS on the hot path; the ring's slot count is
 //     the capacity, so slot accounting is tuple accounting (see spsc.go).
 //
-// All transports preserve Blocking-After-Service semantics exactly: a
+// The runtime's default policy, Auto, picks between them per inbox.
+//
+// Both transports preserve Blocking-After-Service semantics exactly: a
 // mailbox of capacity C admits at most C tuples before senders block
 // (or, with a send timeout, shed), regardless of batch size. Capacity is
 // accounted in tuples via a credit token per admitted item (a ring slot
 // in SPSC mode), never in batches, so the steady-state model's
-// predictions remain valid under any transport. Items already admitted
-// (holding a credit) are never dropped — a send timeout can only reject
-// the item being admitted.
+// predictions remain valid under either transport. Items already
+// admitted (holding a credit) are never dropped — a send timeout can only
+// reject the item being admitted.
 package mailbox
 
 import (
@@ -34,33 +35,35 @@ import (
 type Mode int
 
 const (
-	// PerTuple delivers each item as an individual channel send.
-	PerTuple Mode = iota
+	// Auto is not a transport but a selection policy, and the zero value:
+	// the runtime binds each inbox per-edge from the plan's producer-set
+	// analysis — the SPSC ring where the inbox is provably
+	// single-producer, the batched transport everywhere else. New rejects
+	// it; resolve before construction.
+	Auto Mode = iota
 	// Batched delivers items in pooled micro-batches.
 	Batched
 	// SPSC delivers items through a lock-free single-producer ring. A
 	// mailbox may only run in this mode when exactly one station sends
 	// to it; the runtime derives that proof from the deployed plan.
 	SPSC
-	// Auto is not a transport but a selection policy: the runtime binds
-	// each inbox per-edge from the plan's producer-set analysis — the
-	// SPSC ring where the inbox is provably single-producer, the batched
-	// transport everywhere else. New rejects it; resolve before
-	// construction.
-	Auto
+	// PerTuple is a deprecated alias kept for existing callers and the
+	// "tuple" flag spelling: New builds it as Batched with Batch = 1, so
+	// every item is handed to the consumer on its own.
+	PerTuple
 )
 
 // String returns the canonical flag spelling of the mode.
 func (m Mode) String() string {
 	switch m {
-	case PerTuple:
-		return "tuple"
+	case Auto:
+		return "auto"
 	case Batched:
 		return "batch"
 	case SPSC:
 		return "spsc"
-	case Auto:
-		return "auto"
+	case PerTuple:
+		return "tuple"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -69,16 +72,16 @@ func (m Mode) String() string {
 // ParseMode parses a -mailbox flag value.
 func ParseMode(s string) (Mode, error) {
 	switch s {
-	case "", "tuple", "per-tuple", "pertuple":
-		return PerTuple, nil
+	case "", "auto", "plan":
+		return Auto, nil
 	case "batch", "batched":
 		return Batched, nil
 	case "spsc", "ring":
 		return SPSC, nil
-	case "auto", "plan":
-		return Auto, nil
+	case "tuple", "per-tuple", "pertuple":
+		return PerTuple, nil
 	default:
-		return 0, fmt.Errorf("mailbox: unknown mode %q (valid modes: tuple, batch, spsc, auto)", s)
+		return 0, fmt.Errorf("mailbox: unknown mode %q (valid modes: auto, batch, spsc, tuple)", s)
 	}
 }
 
@@ -97,7 +100,8 @@ type Config struct {
 	Capacity int
 	// Mode selects the transport.
 	Mode Mode
-	// Batch is the micro-batch size in Batched mode (default DefaultBatch).
+	// Batch is the micro-batch size in Batched mode and the publish run
+	// of SPSC mode (default DefaultBatch).
 	Batch int
 	// Linger bounds the wait of a partial batch in Batched mode (default
 	// DefaultLinger). It must be positive: partial batches hold capacity
@@ -126,9 +130,6 @@ type Mailbox[T any] struct {
 	capacity int
 	batch    int
 	linger   time.Duration
-
-	// ch is the PerTuple transport.
-	ch chan T
 
 	// avail counts free capacity credits; one credit is taken per
 	// admitted tuple, so avail == 0 is exactly "C tuples queued" and
@@ -192,10 +193,11 @@ func New[T any](cfg Config) (*Mailbox[T], error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("mailbox: capacity %d, want > 0", cfg.Capacity)
 	}
+	if cfg.Mode == PerTuple {
+		cfg.Mode, cfg.Batch = Batched, 1
+	}
 	m := &Mailbox[T]{mode: cfg.Mode, capacity: cfg.Capacity}
 	switch cfg.Mode {
-	case PerTuple:
-		m.ch = make(chan T, cfg.Capacity)
 	case Batched:
 		m.batch = cfg.Batch
 		if m.batch <= 0 {
@@ -232,8 +234,6 @@ func New[T any](cfg Config) (*Mailbox[T], error) {
 // consumer (approximate under concurrency; exact when quiescent).
 func (m *Mailbox[T]) Queued() int {
 	switch m.mode {
-	case PerTuple:
-		return len(m.ch)
 	case SPSC:
 		// The two loads are not a consistent snapshot when sampled from
 		// a third goroutine; clamp the transient skew so a reading never
@@ -255,8 +255,8 @@ func (m *Mailbox[T]) Capacity() int { return m.capacity }
 
 // Occupancy reports the instantaneous depth together with the BAS bound
 // in one call — the sampling hook the online service-rate estimator
-// polls. Like Queued it is a single atomic read (channel length or credit
-// counter) in either transport mode, so a high-frequency sampler costs
+// polls. Like Queued it is one or two atomic reads (credit counter or
+// ring indices) in either transport mode, so a high-frequency sampler costs
 // the dataplane nothing.
 func (m *Mailbox[T]) Occupancy() (queued, capacity int) {
 	return m.Queued(), m.capacity
@@ -270,7 +270,7 @@ func (m *Mailbox[T]) Occupancy() (queued, capacity int) {
 // to decide when a station has fully quiesced.
 func (m *Mailbox[T]) Pending() int {
 	n := m.Queued()
-	if m.mode != PerTuple && m.cur != nil {
+	if m.cur != nil {
 		n += len(m.cur) - m.idx
 	}
 	return n
@@ -290,16 +290,6 @@ func (m *Mailbox[T]) Blocked() uint64 { return m.blocked.Load() }
 // restored" invariant the chaos suite checks.
 func (m *Mailbox[T]) Drain() int {
 	n := 0
-	if m.mode == PerTuple {
-		for {
-			select {
-			case <-m.ch:
-				n++
-			default:
-				return n
-			}
-		}
-	}
 	// The consumer's in-hand batch already had its credits released at
 	// receive time; only count its unread tail. (The consumer nils cur
 	// on exit without resetting idx, so guard on cur, not idx.)
@@ -379,14 +369,6 @@ func (m *Mailbox[T]) signalWake() {
 // Recv returns the next tuple, blocking until one is available or done is
 // closed (ok == false). Only one goroutine may call Recv.
 func (m *Mailbox[T]) Recv(done <-chan struct{}) (t T, ok bool) {
-	if m.mode == PerTuple {
-		select {
-		case t = <-m.ch:
-			return t, true
-		case <-done:
-			return t, false
-		}
-	}
 	for m.idx >= len(m.cur) {
 		if m.cur != nil {
 			m.pool.Put(m.cur[:0])
@@ -417,18 +399,10 @@ func (m *Mailbox[T]) Recv(done <-chan struct{}) (t T, ok bool) {
 }
 
 // RecvBatch returns the next whole micro-batch, blocking like Recv. The
-// caller owns the returned slice until it hands it back with Recycle. In
-// PerTuple mode it degrades to a single-item batch. Only the consumer
-// goroutine may call it; it may be mixed with Recv (a partially consumed
-// Recv batch is returned first).
+// caller owns the returned slice until it hands it back with Recycle.
+// Only the consumer goroutine may call it; it may be mixed with Recv (a
+// partially consumed Recv batch is returned first).
 func (m *Mailbox[T]) RecvBatch(done <-chan struct{}) ([]T, bool) {
-	if m.mode == PerTuple {
-		t, ok := m.Recv(done)
-		if !ok {
-			return nil, false
-		}
-		return []T{t}, true
-	}
 	if m.idx < len(m.cur) {
 		b := m.cur[m.idx:]
 		m.cur, m.idx = nil, 0
@@ -454,7 +428,7 @@ func (m *Mailbox[T]) RecvBatch(done <-chan struct{}) ([]T, bool) {
 
 // Recycle returns a batch obtained from RecvBatch to the buffer pool.
 func (m *Mailbox[T]) Recycle(b []T) {
-	if m.mode != PerTuple && b != nil {
+	if b != nil {
 		m.pool.Put(b[:0])
 	}
 }
@@ -483,9 +457,6 @@ func (m *Mailbox[T]) NewSender(timeout time.Duration) *Sender[T] {
 // Send admits one item, blocking while the mailbox holds its full
 // capacity in tuples. done aborts a blocked send (Closed).
 func (s *Sender[T]) Send(t T, done <-chan struct{}) SendResult {
-	if s.m.mode == PerTuple {
-		return s.sendTuple(t, done)
-	}
 	if s.m.mode == SPSC {
 		return s.sendRing(t, done)
 	}
@@ -562,19 +533,6 @@ func (m *Mailbox[T]) waitCredit(timeout time.Duration, done <-chan struct{}) Sen
 // items and the sender's batch lock is taken once per run instead of once
 // per tuple.
 func (s *Sender[T]) SendMany(ts []T, done <-chan struct{}) (sent, dropped int, ok bool) {
-	if s.m.mode == PerTuple {
-		for _, t := range ts {
-			switch s.sendTuple(t, done) {
-			case Sent:
-				sent++
-			case Dropped:
-				dropped++
-			default:
-				return sent, dropped, false
-			}
-		}
-		return sent, dropped, true
-	}
 	if s.m.mode == SPSC {
 		return s.sendManyRing(ts, done)
 	}
@@ -617,37 +575,9 @@ func (s *Sender[T]) SendMany(ts []T, done <-chan struct{}) (sent, dropped int, o
 	return sent, dropped, true
 }
 
-// sendTuple is the PerTuple transport: the existing bounded-channel dance.
-func (s *Sender[T]) sendTuple(t T, done <-chan struct{}) SendResult {
-	select {
-	case s.m.ch <- t:
-		return Sent
-	default:
-	}
-	s.m.blocked.Add(1)
-	if s.timeout > 0 {
-		timer := time.NewTimer(s.timeout)
-		defer timer.Stop()
-		select {
-		case s.m.ch <- t:
-			return Sent
-		case <-timer.C:
-			return Dropped
-		case <-done:
-			return Closed
-		}
-	}
-	select {
-	case s.m.ch <- t:
-		return Sent
-	case <-done:
-		return Closed
-	}
-}
-
-// Flush hands the partial batch to the consumer immediately. A no-op in
-// PerTuple mode, on an empty batch, and in SPSC mode (the ring publishes
-// every admitted item at send time; there is never a held-back partial).
+// Flush hands the partial batch to the consumer immediately. A no-op on
+// an empty batch and in SPSC mode (the ring publishes every admitted item
+// at send time; there is never a held-back partial).
 func (s *Sender[T]) Flush() {
 	if s.m.mode != Batched {
 		return

@@ -7,8 +7,10 @@ import (
 	"time"
 )
 
-// modes lists every concrete transport; the suites below drive at most
-// one producer goroutine at a time, so the SPSC ring is a legal target.
+// modes lists every constructible mode — both transports plus the
+// PerTuple alias (a batch-1 Batched mailbox); the suites below drive at
+// most one producer goroutine at a time, so the SPSC ring is a legal
+// target.
 func modes() []Mode { return []Mode{PerTuple, Batched, SPSC} }
 
 // TestBASCapacityExact pins the core BAS invariant for both transports: a
@@ -238,10 +240,10 @@ func TestConcurrentSenders(t *testing.T) {
 
 func TestParseMode(t *testing.T) {
 	for in, want := range map[string]Mode{
-		"": PerTuple, "tuple": PerTuple, "per-tuple": PerTuple,
+		"": Auto, "auto": Auto, "plan": Auto,
 		"batch": Batched, "batched": Batched,
 		"spsc": SPSC, "ring": SPSC,
-		"auto": Auto, "plan": Auto,
+		"tuple": PerTuple, "per-tuple": PerTuple, "pertuple": PerTuple,
 	} {
 		got, err := ParseMode(in)
 		if err != nil || got != want {
@@ -254,7 +256,7 @@ func TestParseMode(t *testing.T) {
 	}
 	// The error is the flag's usage text: it must enumerate every valid
 	// spelling so a typo tells the operator what to type instead.
-	for _, mode := range []Mode{PerTuple, Batched, SPSC, Auto} {
+	for _, mode := range []Mode{Auto, Batched, SPSC, PerTuple} {
 		if !strings.Contains(err.Error(), mode.String()) {
 			t.Errorf("ParseMode error %q does not mention mode %q", err, mode)
 		}
@@ -274,5 +276,49 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New[int](Config{Capacity: 1, Mode: Mode(42)}); err == nil {
 		t.Error("unknown mode accepted")
+	}
+}
+
+// TestAutoIsZeroValue pins the default: a zero Mode — an unset
+// runtime.Config.Mailbox or an empty -mailbox-mode flag — is the per-edge
+// Auto policy, not a transport.
+func TestAutoIsZeroValue(t *testing.T) {
+	var zero Mode
+	if zero != Auto {
+		t.Fatalf("Mode(0) = %v, want auto", zero)
+	}
+	if m, err := ParseMode(""); err != nil || m != Auto {
+		t.Fatalf(`ParseMode("") = %v, %v; want auto`, m, err)
+	}
+	if _, err := New[int](Config{Capacity: 4}); err == nil {
+		t.Fatal("New accepted the unresolved Auto policy")
+	}
+}
+
+// TestPerTupleIsBatchOneBatched pins the deprecated alias: New builds a
+// PerTuple config as a Batched mailbox whose batch size is 1 whatever
+// Batch says, so every send reaches the consumer without a linger.
+func TestPerTupleIsBatchOneBatched(t *testing.T) {
+	m, err := New[int](Config{Capacity: 8, Mode: PerTuple, Batch: 64, Linger: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Mode() != Batched || m.batch != 1 {
+		t.Fatalf("PerTuple built mode %v batch %d, want batch 1", m.Mode(), m.batch)
+	}
+	done := make(chan struct{})
+	defer close(done)
+	s := m.NewSender(0)
+	for i := 0; i < 3; i++ {
+		if r := s.Send(i, done); r != Sent {
+			t.Fatalf("Send(%d) = %v", i, r)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		b, ok := m.RecvBatch(done)
+		if !ok || len(b) != 1 || b[0] != i {
+			t.Fatalf("RecvBatch = %v,%v; want [%d]", b, ok, i)
+		}
+		m.Recycle(b)
 	}
 }

@@ -37,8 +37,11 @@ import "time"
 // a producer blocked on a full ring. It returns a pooled buffer the
 // caller must hand back via Recycle; copying out before advancing head
 // is what lets the producer overwrite the slots the moment they are
-// freed.
+// freed. A closed done is reported before queued items (see closed).
 func (m *Mailbox[T]) recvRing(done <-chan struct{}) ([]T, bool) {
+	if closed(done) {
+		return nil, false
+	}
 	h := m.chead
 	for {
 		if t := m.tail.Load(); t != h {
@@ -84,6 +87,21 @@ func (m *Mailbox[T]) recvRing(done <-chan struct{}) ([]T, bool) {
 			m.consWait.Store(false)
 			return nil, false
 		}
+	}
+}
+
+// closed reports whether done has fired. The ring's fast paths test it
+// before touching the indices: a consumer whose inbox never drains, or a
+// producer whose ring never fills, would otherwise never reach the
+// blocking select and could not observe a pause or shutdown. (The
+// batched transport gets the same guarantee from select choosing
+// uniformly among ready cases.)
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -146,8 +164,9 @@ func (m *Mailbox[T]) waitRingSpace(timeout time.Duration, done <-chan struct{}) 
 // Publish call, skipping the staging buffer and memcpy that Send/
 // SendMany pay. The window holds at most max slots and never wraps (a
 // reservation is one contiguous span; the next Reserve continues past
-// the wrap). A full ring blocks under BAS until the consumer frees slots
-// or done closes (ok == false; no slots were reserved). Reservations
+// the wrap). A full ring blocks under BAS until the consumer frees slots;
+// a closed done, checked first, ends the call with ok == false and no
+// slots reserved. Reservations
 // ignore the sender-level SendTimeout — callers that shed on timeout
 // must use Send/SendMany.
 //
@@ -160,6 +179,9 @@ func (m *Mailbox[T]) waitRingSpace(timeout time.Duration, done <-chan struct{}) 
 func (m *Mailbox[T]) Reserve(max int, done <-chan struct{}) ([]T, bool) {
 	if m.mode != SPSC {
 		panic("mailbox: Reserve on non-SPSC mailbox")
+	}
+	if closed(done) {
+		return nil, false
 	}
 	free := m.freeRing()
 	if free == 0 {
@@ -200,8 +222,8 @@ func (m *Mailbox[T]) Publish(n int) {
 // RecvBatch pay. The run never wraps (the next Peek continues past the
 // wrap) and is not capped at the batch size — whole-run amortization is
 // the point. An empty ring blocks exactly like RecvBatch until the
-// producer publishes or done closes (ok == false). Panics on non-SPSC
-// mailboxes.
+// producer publishes; a closed done, checked first, ends the call with
+// ok == false. Panics on non-SPSC mailboxes.
 //
 // The peeked window stays valid until Consume; consuming fewer slots
 // than peeked is allowed (the remainder reappears at the next Peek).
@@ -218,6 +240,9 @@ func (m *Mailbox[T]) Peek(done <-chan struct{}) ([]T, bool) {
 		}
 		m.pool.Put(m.cur[:0])
 		m.cur, m.idx = nil, 0
+	}
+	if closed(done) {
+		return nil, false
 	}
 	h := m.chead
 	for {

@@ -353,3 +353,39 @@ func TestSPSCConservationUnderShedding(t *testing.T) {
 		m.Recycle(b)
 	}
 }
+
+// TestRingObservesDoneWhileReady pins the pause contract of the ring's
+// fast paths: a closed done ends RecvBatch, Peek and Reserve even when
+// the ring could serve them at once. A station whose inbox never empties
+// (or a source whose ring never fills) must still see its stop channel,
+// or a reconfiguration fence waits on it until its stall budget expires.
+func TestRingObservesDoneWhileReady(t *testing.T) {
+	m, err := New[int](Config{Capacity: 8, Mode: SPSC, Batch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := make(chan struct{})
+	defer close(open)
+	s := m.NewSender(0)
+	if sent, _, ok := s.SendMany([]int{1, 2, 3}, open); !ok || sent != 3 {
+		t.Fatalf("SendMany = %d, %v", sent, ok)
+	}
+	stop := make(chan struct{})
+	close(stop)
+	if b, ok := m.RecvBatch(stop); ok {
+		t.Errorf("RecvBatch on a closed done returned %v with items queued", b)
+	}
+	if w, ok := m.Peek(stop); ok {
+		t.Errorf("Peek on a closed done returned %v with items queued", w)
+	}
+	if w, ok := m.Reserve(4, stop); ok {
+		t.Errorf("Reserve on a closed done returned a %d-slot window with slots free", len(w))
+	}
+	// The items are still there for a consumer whose done is open.
+	if q := m.Pending(); q != 3 {
+		t.Fatalf("Pending after the stop = %d, want the 3 queued items", q)
+	}
+	if b, ok := m.RecvBatch(open); !ok || len(b) != 3 {
+		t.Fatalf("RecvBatch after the stop = %v, %v; want the 3 queued items", b, ok)
+	}
+}

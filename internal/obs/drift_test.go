@@ -55,7 +55,7 @@ func driftCorpus(t *testing.T) []driftCase {
 	if os.Getenv("SS_DRIFT_FULL") == "1" {
 		var cs []driftCase
 		for seed := uint64(1); seed <= 8; seed++ {
-			cs = append(cs, driftCase{seed, mailbox.PerTuple}, driftCase{seed, mailbox.Batched})
+			cs = append(cs, driftCase{seed, mailbox.PerTuple}, driftCase{seed, mailbox.Batched}, driftCase{seed, mailbox.Auto})
 		}
 		return cs
 	}
@@ -66,6 +66,7 @@ func driftCorpus(t *testing.T) []driftCase {
 		{1, mailbox.PerTuple},
 		{2, mailbox.Batched},
 		{3, mailbox.PerTuple},
+		{4, mailbox.Auto},
 	}
 }
 

@@ -237,7 +237,7 @@ func TestChaosDegradedStation(t *testing.T) {
 // for shutdown residue).
 func TestChaosRecoveryDisabledByDefault(t *testing.T) {
 	t.Parallel()
-	m, e := chaosRun(t, mailbox.PerTuple, nil, 0)
+	m, e := chaosRun(t, mailbox.Auto, nil, 0)
 	checkConservation(t, m)
 	checkCreditsRestored(t, e)
 	if m.Restarts != 0 || m.Degraded != 0 {

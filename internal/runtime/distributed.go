@@ -76,9 +76,9 @@ func AssignByOperator(p *plan.Plan, nodes int) []int {
 	return asg
 }
 
-// wire is the gob frame exchanged between nodes. In batched mode a frame
-// carries a whole micro-batch, amortizing the gob and syscall cost of a
-// TCP write over many tuples; in per-tuple mode every frame holds one.
+// wire is the gob frame exchanged between nodes. A frame carries a whole
+// micro-batch, amortizing the gob and syscall cost of a TCP write over
+// many tuples.
 type wire struct {
 	Tuples []operators.Tuple
 }
@@ -105,7 +105,8 @@ func RunDistributed(ctx context.Context, p *plan.Plan, binding *Binding, cfg Dis
 		// The network read loops push decoded frames into local inboxes
 		// alongside the plan's own stations, so the plan-derived
 		// single-producer proof does not cover a partitioned deployment;
-		// every inbox runs on the MPSC batched path instead.
+		// the per-edge policies run every inbox on the MPSC batched path
+		// instead.
 		cfg.Mailbox = mailbox.Batched
 	}
 	if cfg.Nodes <= 0 {
@@ -147,8 +148,7 @@ func RunDistributed(ctx context.Context, p *plan.Plan, binding *Binding, cfg Dis
 		retryBackoff: cfg.RetryBackoff,
 		sendDeadline: cfg.SendDeadline,
 	}
-	d.sendFn = d.send
-	d.sendManyFn = d.sendMany
+	d.deliver = d.deliverRouted
 
 	if err := d.connect(); err != nil {
 		d.shutdownTransport()
@@ -186,11 +186,10 @@ type distEngine struct {
 // and toward the fault injector.
 func edgeKey(from, to plan.StationID) int { return int(from)<<16 | int(to) }
 
-// remoteOutbox frames tuples onto one cross-node TCP stream. With batch 1
-// every tuple is its own frame (the per-tuple transport); with a larger
-// batch it accumulates a micro-batch, bounded by the linger so low-rate
-// edges keep flowing. The blocking gob write is what propagates
-// backpressure to the sending station.
+// remoteOutbox frames tuples onto one cross-node TCP stream. It
+// accumulates a micro-batch of up to Config.Batch tuples per frame,
+// bounded by the linger so low-rate edges keep flowing. The blocking gob
+// write is what propagates backpressure to the sending station.
 //
 // A write error triggers redial with exponential backoff: the failed
 // frame is re-encoded on the fresh connection (a frame is only counted
@@ -392,13 +391,9 @@ func (d *distEngine) connect() error {
 			if d.senders[from] == nil {
 				d.senders[from] = make(map[plan.StationID]*remoteOutbox)
 			}
-			batch := 1
-			if d.cfg.Mailbox == mailbox.Batched {
-				batch = d.cfg.Batch
-			}
 			d.senders[from][e.To] = &remoteOutbox{
 				d: d, from: from, target: e.To, addr: addr,
-				conn: conn, enc: enc, batch: batch, linger: d.cfg.Linger,
+				conn: conn, enc: enc, batch: d.cfg.Batch, linger: d.cfg.Linger,
 				backoff: d.retryBackoff, deadline: d.sendDeadline,
 				edge: d.edges[edgeKey(from, e.To)],
 			}
@@ -491,22 +486,22 @@ func (d *distEngine) readLoop(conn net.Conn) {
 			return
 		}
 		ed.Recvd.Add(uint64(len(w.Tuples)))
-		for i, t := range w.Tuples {
-			if snd.Send(t, d.done) != mailbox.Sent {
-				// Shutdown mid-frame: the undelivered remainder is
-				// decoded in-flight residue, accounted like mailbox
-				// drain residue.
-				tb.st[hs.Target].Drained.Add(uint64(len(w.Tuples) - i))
-				return
-			}
-			// Both ends of the edge are counted here: emission is only
-			// final once the item clears the network and lands in the
-			// target mailbox (TCP windowing makes sender-side counts
-			// bursty).
-			tb.st[hs.Target].Arrived.Add(1)
-			if int(hs.From) >= 0 && int(hs.From) < len(tb.st) {
-				tb.st[hs.From].Emitted.Add(1)
-			}
+		// No timeout, so nothing is shed: every tuple is admitted until
+		// shutdown, and SendMany hands the frame's tail over before it
+		// returns rather than leaving it to the linger.
+		sent, _, ok := snd.SendMany(w.Tuples, d.done)
+		// Both ends of the edge are counted here: emission is only final
+		// once the item clears the network and lands in the target
+		// mailbox (TCP windowing makes sender-side counts bursty).
+		tb.st[hs.Target].Arrived.Add(uint64(sent))
+		if int(hs.From) >= 0 && int(hs.From) < len(tb.st) {
+			tb.st[hs.From].Emitted.Add(uint64(sent))
+		}
+		if !ok {
+			// Shutdown mid-frame: the undelivered remainder is decoded
+			// in-flight residue, accounted like mailbox drain residue.
+			tb.st[hs.Target].Drained.Add(uint64(len(w.Tuples) - sent))
+			return
 		}
 	}
 }
@@ -524,35 +519,10 @@ func (d *distEngine) shutdownTransport() {
 	d.readers.Wait()
 }
 
-// send routes one item: cross-node edges go over TCP, everything else
-// through the in-process mailbox.
-func (d *distEngine) send(from plan.StationID, edgeIdx int, edge *plan.Edge, t operators.Tuple) bool {
-	if outs := d.senders[from]; outs != nil {
-		if ob := outs[edge.To]; ob != nil {
-			tb := d.tab()
-			select {
-			case <-d.done:
-				tb.st[from].Abandoned.Add(1)
-				return false
-			default:
-			}
-			if f := tb.stFaults[from]; f != nil {
-				f.OnSend()
-			}
-			// Every error return from ob.send has already accounted the
-			// tuple; emission and arrival of delivered tuples are
-			// counted on the receiving node's read loop, once the item
-			// clears the network.
-			return ob.send(t) == nil
-		}
-	}
-	return d.localSend(from, edgeIdx, edge, t)
-}
-
-// sendMany routes one output batch: cross-node edges append to the
+// deliverRouted routes one output batch: cross-node edges append to the
 // remote outbox (which frames whole micro-batches per TCP write),
-// everything else goes through the in-process bulk path.
-func (d *distEngine) sendMany(from plan.StationID, edgeIdx int, edge *plan.Edge, ts []operators.Tuple) bool {
+// everything else goes through the in-process mailbox.
+func (d *distEngine) deliverRouted(from plan.StationID, edgeIdx int, edge *plan.Edge, ts []operators.Tuple) bool {
 	if outs := d.senders[from]; outs != nil {
 		if ob := outs[edge.To]; ob != nil {
 			tb := d.tab()
@@ -576,7 +546,7 @@ func (d *distEngine) sendMany(from plan.StationID, edgeIdx int, edge *plan.Edge,
 			return true
 		}
 	}
-	return d.localSendMany(from, edgeIdx, edge, ts)
+	return d.deliverLocal(from, edgeIdx, edge, ts)
 }
 
 // run starts the actors and measures, mirroring the local engine but

@@ -3,14 +3,13 @@
 // (Section 4.2). Each station runs as one goroutine (an actor) with a
 // bounded mailbox (internal/mailbox); a send into a full mailbox blocks
 // the sender, which is exactly the Blocking-After-Service semantics the
-// cost models assume. The mailbox offers three transports — per-tuple
-// channel sends, pooled micro-batches, and a lock-free SPSC ring for
-// inboxes the plan's producer-set analysis proves single-producer — all
-// accounting capacity in tuples, so BAS holds under any of them (see
-// transport.go for the per-inbox selection). Replicated operators execute
-// behind
-// emitter and collector actors; fused subgraphs execute inside a single
-// meta-operator actor per Algorithm 4.
+// cost models assume. The mailbox offers two transports — pooled
+// micro-batches, and a lock-free SPSC ring for inboxes the plan's
+// producer-set analysis proves single-producer — both accounting capacity
+// in tuples, so BAS holds under either (see transport.go for the
+// per-inbox selection the default Auto policy makes). Replicated operators
+// execute behind emitter and collector actors; fused subgraphs execute
+// inside a single meta-operator actor per Algorithm 4.
 //
 // The engine is structured for live reconfiguration: all routing state
 // (plan, mailboxes, senders, counter cells) lives in an atomically
@@ -82,24 +81,25 @@ type Config struct {
 	// be migrated), so PreserveOrder and Controller.ApplyDelta are
 	// mutually exclusive.
 	PreserveOrder bool
-	// Mailbox selects the dataplane transport policy: mailbox.PerTuple
-	// (default) sends every item as one channel operation; mailbox.Batched
-	// moves pooled micro-batches while still accounting capacity in
-	// tuples, so BAS blocking — and with it the steady-state model — is
-	// unchanged. mailbox.Auto (and mailbox.SPSC, its alias as a policy)
-	// binds each inbox per edge from the deployed plan: inboxes the
-	// producer-set analysis proves single-producer run on the lock-free
-	// SPSC ring, all others on the batched MPSC path. A live
-	// reconfiguration that turns a proven edge multi-producer demotes the
-	// inbox back to the batched path inside the same epoch fence; rings
-	// are never promoted mid-run.
+	// Mailbox selects the dataplane transport policy. mailbox.Auto (the
+	// zero value, and mailbox.SPSC, its alias as a policy) binds each
+	// inbox per edge from the deployed plan: inboxes the producer-set
+	// analysis proves single-producer run on the lock-free SPSC ring, all
+	// others on the batched MPSC path. mailbox.Batched runs every inbox on
+	// the batched path (mailbox.PerTuple, a deprecated alias, on batch-1
+	// batched inboxes). Every transport accounts capacity in tuples, so
+	// BAS blocking — and with it the steady-state model — is the same
+	// under each. A live reconfiguration that turns a proven edge
+	// multi-producer demotes the inbox back to the batched path inside
+	// the same epoch fence; rings are never promoted mid-run.
 	Mailbox mailbox.Mode
-	// Batch is the micro-batch size in batched mode (default
-	// mailbox.DefaultBatch). Ignored in per-tuple mode.
+	// Batch is the micro-batch size of station output buffers and batched
+	// inboxes, and the publish run of the source's ring reservations
+	// (default mailbox.DefaultBatch).
 	Batch int
 	// Linger bounds how long a partial batch may wait before being
-	// flushed in batched mode (default mailbox.DefaultLinger), so
-	// low-rate edges don't stall. Ignored in per-tuple mode.
+	// flushed (default mailbox.DefaultLinger), so low-rate edges don't
+	// stall.
 	Linger time.Duration
 	// MaxRestarts bounds how many times a station whose operator
 	// panicked is restarted with a fresh operator instance. 0 (the
@@ -327,15 +327,12 @@ type engine struct {
 	ctlMu sync.Mutex
 	ctls  []*stationCtl
 
-	// sendFn delivers one routed item along a physical edge (edgeIdx
-	// indexes the station's Out slice); the local engine pushes into the
-	// in-process mailbox, the distributed engine routes cross-node edges
-	// over TCP. It returns false on shutdown.
-	sendFn func(from plan.StationID, edgeIdx int, edge *plan.Edge, t operators.Tuple) bool
-	// sendManyFn is the bulk counterpart used by the batched station
-	// loop: it delivers a whole output batch along one edge with the
-	// same per-tuple admission and shedding semantics as sendFn.
-	sendManyFn func(from plan.StationID, edgeIdx int, edge *plan.Edge, ts []operators.Tuple) bool
+	// deliver hands a whole output batch to one physical edge (edgeIdx
+	// indexes the station's Out slice) with per-tuple admission and
+	// shedding semantics; the local engine pushes into the in-process
+	// mailbox, the distributed engine routes cross-node edges over TCP.
+	// It returns false on shutdown.
+	deliver func(from plan.StationID, edgeIdx int, edge *plan.Edge, ts []operators.Tuple) bool
 
 	// reg is the observability registry every counter flows through (the
 	// single accounting path; Metrics is a view over it). The per-station
@@ -394,8 +391,8 @@ func newEngine(p *plan.Plan, binding *Binding, cfg Config) (*engine, error) {
 	// Transport selection is per inbox, derived from the plan: the
 	// producer-set analysis proves which inboxes have a single sending
 	// station, and those run on the lock-free SPSC ring when the policy
-	// allows it. The legacy uniform modes pass through resolveInboxMode
-	// unchanged, so a PerTuple or Batched config behaves exactly as before.
+	// allows it; a uniform policy passes through resolveInboxMode
+	// unchanged.
 	fanIn := liveFanIn(p, nil)
 	for i := range tb.mailboxes {
 		m, err := newInbox(cfg, fanIn[i])
@@ -428,46 +425,17 @@ func newEngine(p *plan.Plan, binding *Binding, cfg Config) (*engine, error) {
 			BlockedSends: m.Blocked(),
 		}
 	})
-	e.sendFn = e.localSend
-	e.sendManyFn = e.localSendMany
+	e.deliver = e.deliverLocal
 	return e, nil
 }
 
-// localSend pushes into the in-process mailbox, blocking on a full buffer
-// (BAS) until shutdown — or, with a SendTimeout configured, discarding the
-// item once the timeout expires (Akka's BoundedMailbox semantics). The
-// timeout can only reject the item being admitted: tuples a mailbox has
-// already accepted are never dropped, in either transport mode.
-func (e *engine) localSend(from plan.StationID, edgeIdx int, edge *plan.Edge, t operators.Tuple) bool {
-	tb := e.tab()
-	if f := tb.stFaults[from]; f != nil {
-		f.OnSend()
-	}
-	switch tb.senders[from][edgeIdx].Send(t, e.done) {
-	case mailbox.Sent:
-		tb.st[from].Emitted.Add(1)
-		tb.st[edge.To].Arrived.Add(1)
-		if len(e.tracers) != 0 {
-			e.fireEmit(from, 1)
-		}
-		return true
-	case mailbox.Dropped:
-		tb.st[from].Emitted.Add(1)
-		tb.st[edge.To].Dropped.Add(1)
-		if len(e.tracers) != 0 {
-			e.fireEmit(from, 1)
-		}
-		return true
-	default: // mailbox.Closed: engine shutdown; the tuple was never admitted.
-		tb.st[from].Abandoned.Add(1)
-		return false
-	}
-}
-
-// localSendMany delivers a whole output batch along one edge. Counter
-// semantics match per-tuple sends exactly: every admitted tuple counts as
-// emitted and arrived, every shed tuple as emitted and dropped.
-func (e *engine) localSendMany(from plan.StationID, edgeIdx int, edge *plan.Edge, ts []operators.Tuple) bool {
+// deliverLocal pushes an output batch into the in-process mailbox,
+// blocking on a full buffer (BAS) until shutdown — or, with a SendTimeout
+// configured, shedding each tuple whose timeout expires (Akka's
+// BoundedMailbox semantics; tuples a mailbox already accepted are never
+// dropped). Every admitted tuple counts as emitted and arrived, every
+// shed tuple as emitted and dropped.
+func (e *engine) deliverLocal(from plan.StationID, edgeIdx int, edge *plan.Edge, ts []operators.Tuple) bool {
 	tb := e.tab()
 	if f := tb.stFaults[from]; f != nil {
 		f.OnSend()
@@ -520,10 +488,10 @@ type probe struct {
 // that every station records a service sample on its first tuple (the
 // mask fires at event 1) and a drift window still collects several
 // samples per operator, sparse enough that the amortized
-// histogram-and-clock cost stays inside the documented <5% dataplane
-// overhead budget. Measured on the contended per-tuple transport, 1-in-64
-// cost ~13% end-to-end (the sampled pauses disturb the channel convoy),
-// 1-in-128 ~2%.
+// histogram-and-clock cost stays small: over 12 interleaved pairs on a
+// 2-vCPU VM the registry cost a median 5.2% on the SPSC ring and 0.1% on
+// the batched transport, inside an interquartile spread of about 16
+// points (DESIGN.md §5c).
 const sampleMask = 127
 
 // newProbe returns a probe for the station, or nil when timed sampling is
@@ -902,28 +870,6 @@ func (e *engine) runDegraded(tb *tables, st *plan.Station, ctl *stationCtl) {
 	}
 }
 
-// stationEpoch runs the operator until the segment ends (true) or a
-// recovered panic (false). Each epoch binds its operator instance through
-// the lifecycle seam: a pause presets the live instance so state survives
-// the park, a restart binds a fresh one so a panic cannot resurrect state
-// it may have corrupted.
-func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG) bool {
-	exec, selfPaced, inst, minst := e.bindStation(st, ctl)
-	pace := newPacer(st.ServiceTime)
-	// Without padding the clock read per item is pure dataplane overhead
-	// (the pacer never runs); skip it so raw throughput measures the
-	// transport, not the vDSO.
-	usePace := !e.cfg.NoServicePadding && !selfPaced
-	// Every non-per-tuple policy runs the batch-draining loop: RecvBatch
-	// drains whole micro-batches from a batched inbox and whole ring runs
-	// from an SPSC inbox, and the per-edge output buffers deliver in bulk
-	// to either transport downstream.
-	if e.cfg.Mailbox != mailbox.PerTuple {
-		return e.stationEpochBatched(tb, st, ctl, rng, exec, usePace, pace, inst, minst)
-	}
-	return e.stationEpochTuple(tb, st, ctl, rng, exec, usePace, pace, inst, minst)
-}
-
 // bindStation resolves the operator instance for one epoch: a preset
 // carried across a pause (or installed by a migration) wins; otherwise
 // the binding clones a fresh instance. Either way the live instance is
@@ -945,97 +891,27 @@ func (e *engine) bindStation(st *plan.Station, ctl *stationCtl) (exec func(opera
 	return exec, selfPaced, inst, minst
 }
 
-// stationEpochTuple is one per-tuple-transport epoch of the actor loop.
-func (e *engine) stationEpochTuple(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG, exec func(operators.Tuple, *[]routed), usePace bool, pace *pacer, inst operators.Operator, minst *metaInstance) (clean bool) {
-	rr := 0
-	outs := make([]routed, 0, 8)
-	fl := tb.stFaults[st.ID]
-	pr := e.newProbe(tb, st.ID)
-	inbox := tb.mailboxes[st.ID]
-	stop := ctl.stopCh()
-	inHand := 0
-	if e.cfg.MaxRestarts != 0 {
-		defer func() {
-			if r := recover(); r != nil {
-				// The tuple in hand left the mailbox but its processing
-				// died with the panic; its partial outputs die with it.
-				tb.st[st.ID].Consumed.Add(uint64(inHand))
-				tb.st[st.ID].Failed.Add(uint64(inHand))
-				clean = false
-			}
-		}()
-	}
-	if exec == nil {
-		exec = forward
-	}
-	for {
-		tup, ok := inbox.Recv(stop)
-		if !ok {
-			if e.isShutdown() {
-				return true
-			}
-			// Pause requested. A drain-before-pause keeps consuming with
-			// the engine-wide done channel until the inbox is empty
-			// (producers are already parked, so no new input arrives);
-			// otherwise the live instance is carried across the park so
-			// operator state survives the pause.
-			if !ctl.drainRequested() || inbox.Pending() == 0 {
-				ctl.carry(inst, minst)
-				return true
-			}
-			if tup, ok = inbox.Recv(e.done); !ok {
-				return true
-			}
-		}
-		if pr != nil {
-			pr.onReceive(1)
-		}
-		inHand = 1
-		sampleSvc := pr.sampleService()
-		var started time.Time
-		if usePace || sampleSvc {
-			started = time.Now()
-		}
-		if fl != nil {
-			fl.OnProcess()
-		}
-		outs = outs[:0]
-		exec(tup, &outs)
-		if usePace {
-			pace.wait(started)
-		}
-		if sampleSvc {
-			pr.onServe(started, 1)
-		}
-		tb.st[st.ID].Consumed.Add(1)
-		inHand = 0
-		if len(st.Out) == 0 {
-			// Sink: results leave the system.
-			tb.st[st.ID].Emitted.Add(uint64(len(outs)))
-			pr.onEmit(len(outs))
-			if e.cfg.OnSink != nil {
-				for _, o := range outs {
-					e.cfg.OnSink(st.Op, o.tuple)
-				}
-			}
-			continue
-		}
-		if !e.flush(tb, st, outs, rng, &rr) {
-			return true
-		}
-	}
-}
-
-// stationEpochBatched is one batched-transport epoch of the actor loop:
-// it drains whole micro-batches from the inbox, routes outputs into
-// per-edge buffers, and delivers them in bulk. Operator execution,
-// pacing, routing decisions, and shedding all remain per-tuple; only the
-// queue synchronization and counter updates are amortized over batches.
-// Output buffers never persist across input batches, so the engine holds
-// no tuples outside a mailbox while idle — the upstream linger chain
-// bounds end-to-end latency exactly as in per-tuple mode, and a pause
-// request always finds the buffers empty.
-func (e *engine) stationEpochBatched(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG, exec func(operators.Tuple, *[]routed), usePace bool, pace *pacer, inst operators.Operator, minst *metaInstance) (clean bool) {
+// stationEpoch runs the operator until the segment ends (true) or a
+// recovered panic (false). Each epoch binds its operator instance through
+// the lifecycle seam: a pause presets the live instance so state survives
+// the park, a restart binds a fresh one so a panic cannot resurrect state
+// it may have corrupted.
+//
+// The loop drains whole micro-batches from a batched inbox (whole ring
+// runs from an SPSC inbox), routes outputs into per-edge buffers, and
+// delivers them in bulk. Operator execution, pacing, routing decisions,
+// and shedding all remain per-tuple; only the queue synchronization and
+// counter updates are amortized over batches. Output buffers never
+// persist across input batches, so the engine holds no tuples outside a
+// mailbox while idle — the upstream linger chain bounds end-to-end
+// latency — and a pause request always finds the buffers empty.
+func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG) (clean bool) {
+	exec, selfPaced, inst, minst := e.bindStation(st, ctl)
+	pace := newPacer(st.ServiceTime)
+	// Without padding the clock read per item is pure dataplane overhead
+	// (the pacer never runs); skip it so raw throughput measures the
+	// transport, not the vDSO.
+	usePace := !e.cfg.NoServicePadding && !selfPaced
 	rr := 0
 	outs := make([]routed, 0, 8)
 	inbox := tb.mailboxes[st.ID]
@@ -1110,10 +986,13 @@ func (e *engine) stationEpochBatched(tb *tables, st *plan.Station, ctl *stationC
 			if e.isShutdown() {
 				return true
 			}
-			// Pause requested; see stationEpochTuple for the drain
-			// protocol. Output buffers are empty here (flushed after
-			// every input batch), so only the operator instance needs to
-			// cross the park.
+			// Pause requested. A drain-before-pause keeps consuming with
+			// the engine-wide done channel until the inbox is empty
+			// (producers are already parked, so no new input arrives);
+			// otherwise the live instance is carried across the park so
+			// operator state survives the pause. Output buffers are empty
+			// here (flushed after every input batch), so only the
+			// operator instance needs to cross the park.
 			if !ctl.drainRequested() || inbox.Pending() == 0 {
 				ctl.carry(inst, minst)
 				return true
@@ -1137,7 +1016,7 @@ func (e *engine) stationEpochBatched(tb *tables, st *plan.Station, ctl *stationC
 			for i := range batch {
 				batch[i].Port = st.Out[0].Port
 			}
-			ok := e.sendManyFn(st.ID, 0, &st.Out[0], batch)
+			ok := e.deliver(st.ID, 0, &st.Out[0], batch)
 			tb.st[st.ID].Consumed.Add(uint64(len(batch)))
 			if !ok {
 				// Shutdown mid-delivery; the unsent tail was accounted
@@ -1189,7 +1068,7 @@ func (e *engine) stationEpochBatched(tb *tables, st *plan.Station, ctl *stationC
 				t.Port = st.Out[idx].Port
 				outBufs[idx] = append(outBufs[idx], t)
 				if len(outBufs[idx]) >= e.cfg.Batch {
-					if !e.sendManyFn(st.ID, idx, &st.Out[idx], outBufs[idx]) {
+					if !e.deliver(st.ID, idx, &st.Out[idx], outBufs[idx]) {
 						// Shutdown mid-batch: batch[:k+1] were processed
 						// (stuck outputs become abandoned work), the
 						// unprocessed tail becomes drain residue. The
@@ -1215,7 +1094,7 @@ func (e *engine) stationEpochBatched(tb *tables, st *plan.Station, ctl *stationC
 			if len(outBufs[idx]) == 0 {
 				continue
 			}
-			if !e.sendManyFn(st.ID, idx, &st.Out[idx], outBufs[idx]) {
+			if !e.deliver(st.ID, idx, &st.Out[idx], outBufs[idx]) {
 				outBufs[idx] = outBufs[idx][:0]
 				abandonBufs(0)
 				return true
@@ -1226,62 +1105,27 @@ func (e *engine) stationEpochBatched(tb *tables, st *plan.Station, ctl *stationC
 }
 
 // runSource generates the input stream at the source's service rate,
-// subject to backpressure on its output mailboxes. A pause request parks
-// the source between tuples (nothing is buffered in per-tuple mode).
+// subject to backpressure on its output mailboxes. Unpadded sources
+// feeding a proven single-producer ring generate straight into reserved
+// ring slots (runSourceRing; padding needs the per-tuple pacer, so it
+// keeps the staging loop). The ring check is repeated every segment: a
+// reconfiguration that demotes the ring re-dispatches here.
+//
+// Otherwise the stream is generated in micro-batches: tuples are paced
+// and routed individually, then delivered per edge in bulk. Under padding
+// a linger bound flushes partial buffers so a slow source still feeds the
+// pipeline promptly. A pause flushes the buffers downstream before
+// parking (the tuples were generated and accounted); only shutdown
+// abandons them.
 func (e *engine) runSource(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG) {
-	rr := 0
 	pace := newPacer(st.ServiceTime)
 	usePace := !e.cfg.NoServicePadding
-	if e.cfg.Mailbox != mailbox.PerTuple {
-		// Unpadded sources feeding a proven single-producer ring generate
-		// straight into reserved ring slots (padding needs the per-tuple
-		// pacer, so it keeps the staging loop). Re-checked every segment:
-		// a reconfiguration that demotes the ring re-dispatches here.
-		if !usePace {
-			if ring := e.sourceRing(tb, st); ring != nil {
-				e.runSourceRing(tb, st, ctl, ring)
-				return
-			}
-		}
-		e.runSourceBatched(tb, st, ctl, rng, usePace, pace)
-		return
-	}
-	pr := e.newProbe(tb, st.ID)
-	one := make([]routed, 1)
-	stop := ctl.stopCh()
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		sampleSvc := pr.sampleService()
-		var started time.Time
-		if usePace || sampleSvc {
-			started = time.Now()
-		}
-		tup := e.cfg.Generator.Next()
-		if usePace {
-			pace.wait(started)
-		}
-		if sampleSvc {
-			pr.onServe(started, 1)
-		}
-		tb.st[st.ID].Consumed.Add(1)
-		one[0] = routed{tuple: tup, dest: -1}
-		if !e.flush(tb, st, one, rng, &rr) {
+	if !usePace {
+		if ring := e.sourceRing(tb, st); ring != nil {
+			e.runSourceRing(tb, st, ctl, ring)
 			return
 		}
 	}
-}
-
-// runSourceBatched generates the stream in micro-batches: tuples are
-// paced and routed individually, then delivered per edge in bulk. Under
-// padding a linger bound flushes partial buffers so a slow source still
-// feeds the pipeline promptly. A pause flushes the buffers downstream
-// before parking (the tuples were generated and accounted); only
-// shutdown abandons them.
-func (e *engine) runSourceBatched(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG, usePace bool, pace *pacer) {
 	rr := 0
 	pr := e.newProbe(tb, st.ID)
 	stop := ctl.stopCh()
@@ -1308,7 +1152,7 @@ func (e *engine) runSourceBatched(tb *tables, st *plan.Station, ctl *stationCtl,
 			if len(outBufs[idx]) == 0 {
 				continue
 			}
-			if !e.sendManyFn(st.ID, idx, &st.Out[idx], outBufs[idx]) {
+			if !e.deliver(st.ID, idx, &st.Out[idx], outBufs[idx]) {
 				// The failing buffer's tail was accounted by the send
 				// path; the remaining edges' buffers are abandoned here.
 				outBufs[idx] = outBufs[idx][:0]
@@ -1363,27 +1207,6 @@ func (e *engine) runSourceBatched(tb *tables, st *plan.Station, ctl *stationCtl,
 			}
 		}
 	}
-}
-
-// flush delivers outputs downstream; a full mailbox blocks (BAS). It
-// returns false when the engine is shutting down.
-func (e *engine) flush(tb *tables, st *plan.Station, outs []routed, rng *stats.RNG, rr *int) bool {
-	for i := range outs {
-		idx := e.pickEdge(tb, st, outs[i], rng, rr)
-		if idx < 0 {
-			continue
-		}
-		edge := &st.Out[idx]
-		t := outs[i].tuple
-		t.Port = edge.Port
-		if !e.sendFn(st.ID, idx, edge, t) {
-			// The failing tuple was accounted by sendFn; the rest of
-			// this output set never reached a mailbox.
-			tb.st[st.ID].Abandoned.Add(uint64(len(outs) - i - 1))
-			return false
-		}
-	}
-	return true
 }
 
 // pickEdge selects the index of the output edge for one item per the

@@ -549,9 +549,9 @@ func TestRunBatchedPreserveOrder(t *testing.T) {
 
 func TestBatchedSheddingParity(t *testing.T) {
 	// Regression for the drop-accounting contract: with a send timeout,
-	// the batched transport sheds exactly like the per-tuple one — only
-	// tuples awaiting admission are dropped, never tuples a mailbox (or a
-	// partial batch) already accepted. If admitted tuples were lost, the
+	// every transport (batch-1, batched, and the Auto policy's rings) sheds
+	// per tuple — only tuples awaiting admission are dropped, never tuples
+	// a mailbox (or a partial batch) already accepted. If admitted tuples were lost, the
 	// bottleneck would consume less than its measured admissions and the
 	// sink would fall below the shedding model's rate.
 	topo := pipeline(t, 0.001, 0.004, 0.0001)
@@ -559,7 +559,7 @@ func TestBatchedSheddingParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []mailbox.Mode{mailbox.PerTuple, mailbox.Batched} {
+	for _, mode := range []mailbox.Mode{mailbox.PerTuple, mailbox.Batched, mailbox.Auto} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := shortCfg(83)
 			cfg.Mailbox = mode

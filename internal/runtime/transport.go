@@ -44,21 +44,19 @@ func liveFanIn(p *plan.Plan, retired []bool) []int {
 }
 
 // resolveInboxMode maps the configured transport policy and one inbox's
-// live producer count to the concrete transport the inbox runs on.
-// PerTuple and Batched are uniform legacy transports and pass through
-// unchanged; SPSC and Auto are per-edge policies — the lock-free ring
-// exactly where the plan proves a single producer, the batched MPSC path
-// everywhere else. The result is always constructible (never Auto).
+// live producer count to the concrete transport the inbox runs on. SPSC
+// and Auto are per-edge policies — the lock-free ring exactly where the
+// plan proves a single producer, the batched MPSC path everywhere else;
+// every other mode is a uniform policy and passes through unchanged. The
+// result is always constructible (never Auto).
 func resolveInboxMode(global mailbox.Mode, producers int) mailbox.Mode {
-	switch global {
-	case mailbox.PerTuple, mailbox.Batched:
+	if global != mailbox.SPSC && global != mailbox.Auto {
 		return global
-	default: // mailbox.SPSC, mailbox.Auto
-		if producers <= 1 {
-			return mailbox.SPSC
-		}
-		return mailbox.Batched
 	}
+	if producers <= 1 {
+		return mailbox.SPSC
+	}
+	return mailbox.Batched
 }
 
 // sourceRing returns the downstream SPSC ring when the source qualifies
@@ -81,8 +79,8 @@ func (e *engine) sourceRing(tb *tables, st *plan.Station) *mailbox.Mailbox[opera
 
 // runSourceRing generates the stream directly into the downstream ring:
 // reserve a window of free slots, fill it from the generator in place,
-// publish once, account once. Counter semantics match runSourceBatched
-// exactly — every published tuple counts generated (Consumed), emitted,
+// publish once, account once. Counter semantics match runSource's
+// staging loop exactly — every published tuple counts generated (Consumed), emitted,
 // and arrived — but amortized per window instead of per tuple.
 // Unpublished window slots on stop were never generated and leave no
 // accounting trace.
@@ -143,8 +141,8 @@ func ringWhole(tb *tables, st *plan.Station, sinkWhole, forwardWhole bool) bool 
 // pass-through stations: peek a contiguous run in place, forward it with
 // one ring-to-ring copy (or, at a sink, just count it out of the system),
 // consume the slots. Accounting is identical to the whole-batch paths in
-// stationEpochBatched — one Consumed add per window, send-path counters
-// via localSendMany — with the pooled-buffer copy-out deleted. The
+// stationEpoch — one Consumed add per window, send-path counters via
+// deliverLocal — with the pooled-buffer copy-out deleted. The
 // pause/drain protocol mirrors RecvBatch's: a pause with drain pending
 // keeps taking windows off e.done until the inbox is empty.
 func (e *engine) stationEpochRing(tb *tables, st *plan.Station, ctl *stationCtl, sink bool, inst operators.Operator, minst *metaInstance) (clean bool) {
@@ -180,7 +178,7 @@ func (e *engine) stationEpochRing(tb *tables, st *plan.Station, ctl *stationCtl,
 		for i := range win {
 			win[i].Port = st.Out[0].Port
 		}
-		sent := e.sendManyFn(st.ID, 0, &st.Out[0], win)
+		sent := e.deliver(st.ID, 0, &st.Out[0], win)
 		self.Consumed.Add(n)
 		// Consume before returning on shutdown: the send path accounted
 		// every window tuple (sent, dropped, or abandoned), so leaving

@@ -127,6 +127,39 @@ func TestAutoTransportBinding(t *testing.T) {
 	checkConserved(t, mustStop(t, c))
 }
 
+// TestZeroConfigBindsRings pins the default transport: a zero-value
+// Config is the Auto policy, so on a linear chain — every inbox proven
+// single-producer — each inbox binds to the SPSC ring and the unpadded
+// source qualifies for the zero-copy reservation loop.
+func TestZeroConfigBindsRings(t *testing.T) {
+	p, err := plan.Build(pipeline(t, 0.001, 0.001, 0.001, 0.001), plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := Config{}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(p, &Binding{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := e.tab()
+	for i, ts := range plan.Transports(p) {
+		if ts != plan.TransportSPSC {
+			t.Fatalf("station %q: analyzer proves %v, want SPSC on a linear chain", p.Stations[i].Name, ts)
+		}
+		if got := tb.mailboxes[i].Mode(); got != mailbox.SPSC {
+			t.Errorf("station %q: zero-value Config bound %v, want SPSC", p.Stations[i].Name, got)
+		}
+	}
+	e.cfg.NoServicePadding = true
+	src := &tb.p.Stations[0]
+	if src.Role != plan.RoleSource || e.sourceRing(tb, src) == nil {
+		t.Error("unpadded source on the default transport does not generate into its ring")
+	}
+}
+
 // TestControllerUnfuseDemotesSPSC pins the SPSC -> MPSC demotion across
 // a live reconfiguration. Fusing the diamond's {f1, a, b} makes the
 // fused station the sink's only producer, so under the Auto policy the
