@@ -58,7 +58,7 @@ func run(args []string, stdout io.Writer) error {
 	autotuneRounds := fs.Int("autotune-rounds", 3, "autotune: measure/re-optimize/apply rounds")
 	autotuneInterval := fs.Duration("autotune-interval", 800*time.Millisecond, "autotune: measurement window per round")
 	corpusHorizon := fs.Float64("corpus-horizon", 12, "corpus: simulated seconds per measurement")
-	corpusRounds := fs.Int("corpus-rounds", 8, "corpus: autotune hill-climb measurement rounds")
+	corpusRounds := fs.Int("corpus-rounds", 8, "corpus: autotune measure/re-optimize/apply rounds")
 	corpusWorkloads := fs.String("workloads", "", "corpus: comma-separated workload shapes (default steady,bursty,diurnal,hotkey)")
 	estimatorSeeds := fs.Int("estimator-seeds", 0, "estimator: corpus seeds for the probe-free sweep (0 = default 34)")
 	dataplaneDepth := fs.Int("dataplane-depth", 0, "dataplane: operators in the single-producer chain (0 = default 8)")

@@ -48,6 +48,18 @@ type AutotuneDemoResult struct {
 	Metrics *runtime.Metrics
 }
 
+// autotuneDemoModel is the walkthrough's declared topology: a 500/s
+// source feeding the hot stage, declared at 1 ms, into a sink.
+func autotuneDemoModel() (*core.Topology, core.OpID) {
+	model := core.NewTopology()
+	src := model.MustAddOperator(core.Operator{Name: "source", Kind: core.KindSource, ServiceTime: 2e-3})
+	hot := model.MustAddOperator(core.Operator{Name: "hot", Kind: core.KindStateless, ServiceTime: 1e-3})
+	sink := model.MustAddOperator(core.Operator{Name: "sink", Kind: core.KindSink, ServiceTime: 0.2e-3})
+	model.MustConnect(src, hot, 1)
+	model.MustConnect(hot, sink, 1)
+	return model, hot
+}
+
 // AutotuneDemo closes the loop the reopt demo leaves open: instead of only
 // *printing* the delta plan that would repair the drifted deployment, the
 // controller applies it while tuples flow. A stateless stage declared at
@@ -67,13 +79,7 @@ func AutotuneDemo(ctx context.Context, slowFactor float64, rounds int, opts Live
 		interval = 800 * time.Millisecond
 	}
 
-	model := core.NewTopology()
-	src := model.MustAddOperator(core.Operator{Name: "source", Kind: core.KindSource, ServiceTime: 2e-3})
-	hot := model.MustAddOperator(core.Operator{Name: "hot", Kind: core.KindStateless, ServiceTime: 1e-3})
-	sink := model.MustAddOperator(core.Operator{Name: "sink", Kind: core.KindSink, ServiceTime: 0.2e-3})
-	model.MustConnect(src, hot, 1)
-	model.MustConnect(hot, sink, 1)
-
+	model, hot := autotuneDemoModel()
 	binding := &runtime.Binding{Ops: map[core.OpID]operators.Operator{
 		hot: &slowStage{cost: time.Duration(slowFactor * float64(time.Millisecond))},
 	}}

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"strings"
 
 	"spinstreams/internal/core"
 	"spinstreams/internal/plan"
 	"spinstreams/internal/qsim"
 	"spinstreams/internal/randtopo"
+	"spinstreams/internal/runtime"
 	"spinstreams/internal/stats"
 )
 
@@ -24,8 +24,8 @@ type CorpusOptions struct {
 	// Modes selects the optimization modes (default unopt, static,
 	// autotune).
 	Modes []string
-	// Rounds bounds the autotune hill-climb (default 8 measurement
-	// rounds beyond the initial deployment).
+	// Rounds is the number of autotune measure/re-optimize/apply rounds
+	// (default 8).
 	Rounds int
 	// Horizon is the simulated seconds per measurement (default 12; the
 	// full-accuracy figures use 40, the corpus trades some variance for
@@ -64,15 +64,15 @@ type CorpusRow struct {
 	Edges       int
 	Workload    string
 	// Mode is unopt (1 replica everywhere), static (Algorithm 2 on the
-	// declared profiles) or autotune (measure/rescale feedback loop on
-	// the deployed reality).
+	// declared profiles) or autotune (runtime.Autotune, the shipped
+	// measure/re-optimize/apply loop, on the deployed reality).
 	Mode string
 	// Replicas counts deployed worker stations (after any keypart
 	// consolidation), the cost side of the comparison.
 	Replicas int
-	// Rounds is the number of adaptation measurements autotune consumed
-	// (0 for the one-shot modes).
-	Rounds int
+	// Reconfigurations counts the deltas autotune applied, the
+	// reconfiguration-cost axis (0 for the one-shot modes).
+	Reconfigurations int
 	// Predicted is the model's throughput for this deployment under the
 	// workload (PredictThroughput); Measured is the simulated one.
 	Predicted float64
@@ -183,9 +183,9 @@ func Corpus(ctx context.Context, s Setup, opts CorpusOptions) (*CorpusResult, er
 			measured := map[string]float64{}
 			for _, mode := range opts.Modes {
 				var (
-					replicas []int
-					rounds   int
-					sim      *qsim.Result
+					replicas  []int
+					reconfigs int
+					sim       *qsim.Result
 				)
 				switch mode {
 				case "unopt":
@@ -197,7 +197,16 @@ func Corpus(ctx context.Context, s Setup, opts CorpusOptions) (*CorpusResult, er
 					replicas = staticReplicas
 					sim, err = qsim.SimulateTopology(deployed, replicas, simCfg("static"))
 				case "autotune":
-					replicas, rounds, sim, err = autotuneCorpus(deployed, w, simCfg, opts.Rounds)
+					// The shipped loop, then its final configuration measured
+					// like the one-shot modes.
+					dep := newSimDeployment(declared, deployed, func(n int) qsim.Config {
+						return simCfg(fmt.Sprintf("autotune%d", n))
+					})
+					var rep *runtime.AutotuneReport
+					if rep, err = runtime.Autotune(ctx, dep, runtime.AutotuneOptions{Rounds: opts.Rounds}); err == nil {
+						replicas, reconfigs = dep.replicas, rep.Applied()
+						sim, err = qsim.SimulateTopology(deployed, replicas, simCfg("autotune"))
+					}
 				}
 				if err != nil {
 					return nil, fmt.Errorf("corpus topology %d %s/%s: %w", ti+1, w.Name, mode, err)
@@ -207,18 +216,18 @@ func Corpus(ctx context.Context, s Setup, opts CorpusOptions) (*CorpusResult, er
 					return nil, fmt.Errorf("corpus topology %d %s/%s predict: %w", ti+1, w.Name, mode, err)
 				}
 				res.Rows = append(res.Rows, CorpusRow{
-					Topology:    ti + 1,
-					Seed:        g.Seed,
-					Fingerprint: fp,
-					Operators:   declared.Len(),
-					Edges:       declared.NumEdges(),
-					Workload:    w.Name,
-					Mode:        mode,
-					Replicas:    countWorkers(sim),
-					Rounds:      rounds,
-					Predicted:   predicted,
-					Measured:    sim.Throughput,
-					RelErr:      stats.RelErr(sim.Throughput, predicted),
+					Topology:         ti + 1,
+					Seed:             g.Seed,
+					Fingerprint:      fp,
+					Operators:        declared.Len(),
+					Edges:            declared.NumEdges(),
+					Workload:         w.Name,
+					Mode:             mode,
+					Replicas:         countWorkers(sim),
+					Reconfigurations: reconfigs,
+					Predicted:        predicted,
+					Measured:         sim.Throughput,
+					RelErr:           stats.RelErr(sim.Throughput, predicted),
 				})
 				measured[mode] = sim.Throughput
 			}
@@ -246,95 +255,6 @@ func staticPlan(declared *core.Topology) ([]int, error) {
 		return nil, err
 	}
 	return fis.Analysis.Replicas, nil
-}
-
-// autotuneCorpus is the simulated analogue of the live
-// runtime.Controller.Autotune loop: deploy with one replica everywhere,
-// measure a window, scale up saturated replicable operators and release
-// idle replicas, and keep a change only if the next window does not
-// regress — a deterministic hill-climb on measured busy fractions that
-// sees the deployed reality (hot keys, modulated arrivals) the static
-// planner cannot.
-func autotuneCorpus(deployed *core.Topology, w Workload, simCfg func(string) qsim.Config, rounds int) ([]int, int, *qsim.Result, error) {
-	n := deployed.Len()
-	cur := make([]int, n)
-	for i := range cur {
-		cur[i] = 1
-	}
-	curSim, err := qsim.SimulateTopology(deployed, cur, simCfg("autotune0"))
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	used := 1
-	frozen := make([]bool, n)
-	const (
-		saturated     = 0.95 // backpressure hides true demand: double
-		highWatermark = 0.85
-		lowWatermark  = 0.30
-		target        = 0.7 // per-replica utilization the sizing aims at
-		maxReplicas   = 64
-	)
-	for r := 1; r <= rounds; r++ {
-		// Per-operator replica saturation: the busiest worker of the
-		// operator (emitters/collectors pace routing, not service).
-		busy := make([]float64, n)
-		for _, st := range curSim.Stations {
-			if st.Role != plan.RoleWorker {
-				continue
-			}
-			if st.BusyFrac > busy[st.Op] {
-				busy[st.Op] = st.BusyFrac
-			}
-		}
-		next := append([]int(nil), cur...)
-		var touched []int
-		for i := 0; i < n; i++ {
-			op := deployed.Op(core.OpID(i))
-			if frozen[i] || op.Kind == core.KindSource || !op.Kind.CanReplicate() {
-				continue
-			}
-			sized := int(math.Ceil(float64(cur[i]) * busy[i] / target))
-			switch {
-			case busy[i] >= saturated:
-				// A saturated replica set measures busy ~= 1 whatever the
-				// real demand, so grow multiplicatively (slow-start) until
-				// a measurement shows headroom.
-				next[i] = cur[i] * 2
-			case busy[i] >= highWatermark && sized > cur[i]:
-				next[i] = sized
-			case busy[i] <= lowWatermark && cur[i] > 1:
-				if sized < 1 {
-					sized = 1
-				}
-				next[i] = sized
-			}
-			if next[i] > maxReplicas {
-				next[i] = maxReplicas
-			}
-			if next[i] != cur[i] {
-				touched = append(touched, i)
-			}
-		}
-		if len(touched) == 0 {
-			break
-		}
-		nextSim, err := qsim.SimulateTopology(deployed, next, simCfg(fmt.Sprintf("autotune%d", r)))
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		used++
-		if nextSim.Throughput >= curSim.Throughput*0.99 {
-			cur, curSim = next, nextSim
-		} else {
-			// The change regressed (typically a pmax-bound hot key that
-			// extra replicas cannot help): keep the old configuration and
-			// stop touching those operators.
-			for _, i := range touched {
-				frozen[i] = true
-			}
-		}
-	}
-	return cur, used, curSim, nil
 }
 
 // summarize fills the per-workload aggregates from the rows.
@@ -426,7 +346,7 @@ func (r *CorpusResult) String() string {
 // Header implements Tabular.
 func (r *CorpusResult) Header() []string {
 	return []string{"topology", "seed", "fingerprint", "operators", "edges", "workload",
-		"mode", "replicas", "rounds", "predicted", "measured", "rel_err", "vs_static"}
+		"mode", "replicas", "reconfigurations", "predicted", "measured", "rel_err", "vs_static"}
 }
 
 // TableRows implements Tabular.
@@ -436,7 +356,7 @@ func (r *CorpusResult) TableRows() [][]string {
 		rows = append(rows, []string{
 			d(row.Topology), fmt.Sprintf("%d", row.Seed), row.Fingerprint,
 			d(row.Operators), d(row.Edges), row.Workload, row.Mode,
-			d(row.Replicas), d(row.Rounds), f(row.Predicted), f(row.Measured),
+			d(row.Replicas), d(row.Reconfigurations), f(row.Predicted), f(row.Measured),
 			f(row.RelErr), f(row.VsStatic),
 		})
 	}

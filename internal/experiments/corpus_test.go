@@ -31,6 +31,7 @@ func TestCorpusSmoke(t *testing.T) {
 	if err := CheckCorpus(res); err != nil {
 		t.Fatalf("corpus check: %v", err)
 	}
+	reconfigured := 0
 	for _, row := range res.Rows {
 		if len(row.Fingerprint) != 16 {
 			t.Fatalf("row %+v: fingerprint %q not 16 hex chars", row, row.Fingerprint)
@@ -41,12 +42,19 @@ func TestCorpusSmoke(t *testing.T) {
 		if row.Replicas < row.Operators-1 {
 			t.Fatalf("row %+v: fewer worker stations than operators", row)
 		}
-		if row.Mode == "autotune" && row.Rounds == 0 {
-			t.Fatalf("row %+v: autotune consumed no measurement rounds", row)
+		if row.Mode != "autotune" && row.Reconfigurations != 0 {
+			t.Fatalf("row %+v: a one-shot mode reconfigured", row)
 		}
+		if row.Reconfigurations > opts.Rounds {
+			t.Fatalf("row %+v: more reconfigurations than autotune rounds", row)
+		}
+		reconfigured += row.Reconfigurations
 		if row.VsStatic <= 0 {
 			t.Fatalf("row %+v: missing static comparison column", row)
 		}
+	}
+	if reconfigured == 0 {
+		t.Fatal("autotune applied no delta on any topology")
 	}
 	if len(res.Summaries) != 4 {
 		t.Fatalf("summaries = %d, want one per workload", len(res.Summaries))

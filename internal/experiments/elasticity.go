@@ -1,20 +1,21 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"spinstreams/internal/core"
-	"spinstreams/internal/plan"
 	"spinstreams/internal/qsim"
 	"spinstreams/internal/randtopo"
+	"spinstreams/internal/runtime"
 )
 
-// ElasticStep records one reconfiguration round of the reactive baseline.
+// ElasticStep records one round of the reactive controller.
 type ElasticStep struct {
-	// Round is the reconfiguration index (0 = initial deployment).
+	// Round is the round index (0 measures the initial deployment).
 	Round int
-	// TotalReplicas after this round's scaling decisions.
+	// TotalReplicas deployed during this round's observation interval.
 	TotalReplicas int
 	// Throughput measured during this round's observation interval.
 	Throughput float64
@@ -23,11 +24,12 @@ type ElasticStep struct {
 // ElasticityResult compares the paper's static one-shot optimization
 // against a reactive elastic controller — the "joint combination of static
 // and dynamic optimizations" the paper leaves as future work (Section 7).
-// The reactive baseline mimics threshold-based elasticity supports: deploy
-// with one replica everywhere, observe an interval, add a replica to every
-// saturated operator, repeat. The static tool reaches the same
-// configuration in zero reconfigurations because the cost model predicts
-// the optimum before deployment.
+// The reactive controller is the shipped autonomic loop
+// (runtime.Autotune) on the simulator: deploy with one replica
+// everywhere, measure an interval, re-optimize on the measured profiles,
+// apply the delta, repeat. The static tool reaches its configuration in
+// zero reconfigurations because the cost model predicts the optimum
+// before deployment.
 type ElasticityResult struct {
 	// StaticThroughput is the simulator-measured throughput of the static
 	// optimizer's one-shot configuration.
@@ -56,11 +58,9 @@ type ElasticityOptions struct {
 	// Interval is the simulated observation window per reactive round
 	// (default 10 s).
 	Interval float64
-	// HighWatermark is the per-replica busy fraction that triggers
-	// scale-up (default 0.9).
-	HighWatermark float64
-	// MaxRounds bounds the reactive controller (default 50).
-	MaxRounds int
+	// Rounds is the number of reactive measure/re-optimize/apply rounds
+	// (default 8).
+	Rounds int
 }
 
 // Elasticity runs the comparison on one random topology.
@@ -69,11 +69,8 @@ func Elasticity(s Setup, opts ElasticityOptions) (*ElasticityResult, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 10
 	}
-	if opts.HighWatermark <= 0 || opts.HighWatermark >= 1 {
-		opts.HighWatermark = 0.9
-	}
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 50
+	if opts.Rounds <= 0 {
+		opts.Rounds = 8
 	}
 	topoSeed := opts.TopologySeed
 	if topoSeed == 0 {
@@ -104,50 +101,29 @@ func Elasticity(s Setup, opts ElasticityOptions) (*ElasticityResult, error) {
 		IntervalSeconds:  opts.Interval,
 	}
 
-	// Reactive: threshold-based scale-up loop.
-	replicas := make([]int, t.Len())
-	for i := range replicas {
-		replicas[i] = 1
-	}
-	for round := 0; round <= opts.MaxRounds; round++ {
-		roundCfg := s.simConfig(round + 1)
-		roundCfg.Horizon = opts.Interval
-		roundCfg.Warmup = opts.Interval / 4
-		sim, err := qsim.SimulateTopology(t, replicas, roundCfg)
-		if err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, n := range replicas {
-			total += n
-		}
-		res.Steps = append(res.Steps, ElasticStep{
-			Round:         round,
-			TotalReplicas: total,
-			Throughput:    sim.Throughput,
-		})
-		res.ElasticThroughput = sim.Throughput
-		res.ElasticReplicas = total
-
-		// Scale every saturated replicable operator by one replica.
-		hot := map[core.OpID]bool{}
-		for _, st := range sim.Stations {
-			if st.Role != plan.RoleWorker && st.Role != plan.RoleSource {
-				continue
+	// Reactive: the autonomic loop on the simulated deployment.
+	dep := newSimDeployment(t, t, func(n int) qsim.Config {
+		c := s.simConfig(n + 1)
+		c.Horizon = opts.Interval
+		c.Warmup = opts.Interval / 4
+		return c
+	})
+	rep, err := runtime.Autotune(context.Background(), dep, runtime.AutotuneOptions{
+		Rounds: opts.Rounds,
+		OnRound: func(r runtime.AutotuneRound) {
+			total := 0
+			for _, n := range r.Drift.Replicas {
+				total += n
 			}
-			op := t.Op(st.Op)
-			if op.Kind.CanReplicate() && st.BusyFrac >= opts.HighWatermark {
-				hot[st.Op] = true
-			}
-		}
-		if len(hot) == 0 {
-			break
-		}
-		for id := range hot {
-			replicas[id]++
-		}
-		res.Reconfigurations++
+			res.Steps = append(res.Steps, ElasticStep{Round: r.Round, TotalReplicas: total, Throughput: dep.last.Throughput})
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
+	last := res.Steps[len(res.Steps)-1]
+	res.Reconfigurations = rep.Applied()
+	res.ElasticThroughput, res.ElasticReplicas = last.Throughput, last.TotalReplicas
 	return res, nil
 }
 

@@ -107,17 +107,20 @@ func estimatorTopology(seed uint64) (*core.Topology, error) {
 	return g.Topology, nil
 }
 
-// estimatorSimulate runs qsim over the deployed topology's plan with
-// occupancy sampling and feeds the stream into a fresh estimator.
-func estimatorSimulate(deployed *core.Topology, w Workload, seed uint64, o EstimatorOptions) (*obs.Measurement, error) {
-	p, err := plan.Build(deployed, plan.Options{})
+// estimatorSimulate runs qsim over the deployed topology's plan at the
+// given replicas (nil: one everywhere) with cfg's occupancy sampling, and
+// feeds the stream into a fresh estimator. It returns the estimator's
+// measurement and the simulation's own result.
+func estimatorSimulate(deployed *core.Topology, replicas []int, cfg qsim.Config) (*obs.Measurement, *qsim.Result, error) {
+	p, err := plan.Build(deployed, plan.Options{Replicas: replicas})
 	if err != nil {
-		return nil, fmt.Errorf("plan: %w", err)
+		return nil, nil, fmt.Errorf("plan: %w", err)
 	}
-	infos := make([]obs.StationInfo, len(p.Stations))
+	// One sample per station; each tick rewrites only the counters.
+	buf := make([]obs.StationSample, len(p.Stations))
 	for i := range p.Stations {
 		st := &p.Stations[i]
-		infos[i] = obs.StationInfo{
+		buf[i].Info = obs.StationInfo{
 			Name:   st.Name,
 			Role:   st.Role.String(),
 			Op:     int(st.Op),
@@ -127,44 +130,32 @@ func estimatorSimulate(deployed *core.Topology, w Workload, seed uint64, o Estim
 	}
 	est := obs.NewEstimator(obs.EstimatorConfig{})
 	prev := 0.0
-	var buf []obs.StationSample
 	var observeErr error
-	cfg := qsim.Config{
-		Seed:         seed,
-		Horizon:      o.Horizon,
-		SampleEvery:  o.SampleEvery,
-		RateEnvelope: w.Envelope,
-		OnSample: func(now float64, sts []qsim.Sample) {
-			dt := now - prev
-			prev = now
-			if dt <= 0 {
-				return
-			}
-			buf = buf[:0]
-			for _, s := range sts {
-				buf = append(buf, obs.StationSample{
-					Info:     infos[s.Station],
-					Queued:   uint64(s.Queued),
-					Capacity: uint64(s.Capacity),
-					Consumed: s.Consumed,
-					Emitted:  s.Emitted,
-					Arrived:  s.Arrived,
-					Dropped:  s.Dropped,
-					Blocked:  s.Blocked,
-				})
-			}
-			if err := est.Observe(dt, buf); err != nil && observeErr == nil {
-				observeErr = err
-			}
-		},
+	cfg.OnSample = func(now float64, sts []qsim.Sample) {
+		dt := now - prev
+		prev = now
+		if dt <= 0 {
+			return
+		}
+		for _, s := range sts {
+			b := &buf[s.Station]
+			b.Queued, b.Capacity = uint64(s.Queued), uint64(s.Capacity)
+			b.Consumed, b.Emitted, b.Arrived, b.Dropped = s.Consumed, s.Emitted, s.Arrived, s.Dropped
+			b.Blocked = s.Blocked
+		}
+		if err := est.Observe(dt, buf); err != nil && observeErr == nil {
+			observeErr = err
+		}
 	}
-	if _, err := qsim.Simulate(p, cfg); err != nil {
-		return nil, fmt.Errorf("simulate: %w", err)
+	sim, err := qsim.Simulate(p, cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("simulate: %w", err)
 	}
 	if observeErr != nil {
-		return nil, fmt.Errorf("observe: %w", observeErr)
+		return nil, nil, fmt.Errorf("observe: %w", observeErr)
 	}
-	return est.Measure()
+	m, err := est.Measure()
+	return m, sim, err
 }
 
 // estimatorMisdeclare clones the topology with each declared service time
@@ -215,7 +206,8 @@ func Estimator(ctx context.Context, o EstimatorOptions) (*EstimatorResult, error
 				return nil, fmt.Errorf("estimator: seed %d: %w", seed, err)
 			}
 			deployed := w.Apply(base)
-			m, err := estimatorSimulate(deployed, w, seed, o)
+			cfg := qsim.Config{Seed: seed, Horizon: o.Horizon, SampleEvery: o.SampleEvery, RateEnvelope: w.Envelope}
+			m, _, err := estimatorSimulate(deployed, nil, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("estimator: seed %d/%s: %w", seed, w.Name, err)
 			}

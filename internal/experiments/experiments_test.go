@@ -350,7 +350,7 @@ func TestCSVExport(t *testing.T) {
 
 func TestElasticity(t *testing.T) {
 	s := quickSetup()
-	res, err := Elasticity(s, ElasticityOptions{Interval: 6, MaxRounds: 30})
+	res, err := Elasticity(s, ElasticityOptions{Interval: 6, Rounds: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

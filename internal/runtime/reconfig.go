@@ -53,6 +53,8 @@ type Controller struct {
 	// snap1/winStart bracket the current measurement window.
 	snap1    counterSnapshot
 	winStart time.Time
+	// started is when Start deployed the plan (the Warmup origin).
+	started time.Time
 }
 
 // ApplyReport summarizes one ApplyDelta.
@@ -100,9 +102,10 @@ func Start(p *plan.Plan, binding *Binding, cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		e:     e,
-		part:  keypart.Greedy{},
-		seeds: stats.NewRNG(cfg.Seed + 0x1eaf),
+		e:       e,
+		part:    keypart.Greedy{},
+		seeds:   stats.NewRNG(cfg.Seed + 0x1eaf),
+		started: time.Now(),
 	}
 	e.startStations()
 	c.beginWindow()
@@ -710,7 +713,7 @@ func (c *Controller) expand(op core.OpID, m int) (time.Duration, int, error) {
 		for r := range presets {
 			presets[r] = proto.Clone()
 		}
-		moved = migrateKeys(f, wctl.inst, presets, asg.Replica)
+		moved = migrateKeys(f, wctl.inst, -1, presets, asg.Replica)
 	}
 
 	retireStation(f, nt, w)
@@ -841,27 +844,12 @@ func (c *Controller) rescale(op core.OpID, m int) (time.Duration, int, error) {
 			presets[r] = inst
 		}
 	}
-	if keyed {
-		for i := 0; i < n; i++ {
-			src, ok := wctls[i].inst.(operators.KeyedState)
-			if !ok {
-				continue
-			}
-			for _, k := range src.StateKeys() {
-				nd := asg.Replica[int(k)%len(asg.Replica)]
-				if nd == i && i < keep {
-					continue
-				}
-				dst, ok := dests[nd].(operators.KeyedState)
-				if !ok {
-					continue
-				}
-				if v := src.ExportKey(k); v != nil {
-					dst.ImportKey(k, v)
-					moved++
-				}
-			}
+	for i := 0; i < n; i++ {
+		self := -1
+		if i < keep {
+			self = i
 		}
+		moved += migrateKeys(f, wctls[i].inst, self, dests, asg.Replica)
 	}
 
 	for _, wid := range oldWorkers[keep:] {
@@ -1006,11 +994,13 @@ func (c *Controller) applyUnfuse(u opt.FusionUndo) (time.Duration, error) {
 }
 
 // migrateKeys moves every keyed entry of src onto the destination chosen
-// by the key->replica assignment; it reports how many keys moved. The
-// fence is the capability proving src's station is paused and drained —
-// exporting keys from a running operator would race its own updates.
-// (Unit tests exercising the bare data movement may pass nil.)
-func migrateKeys(f *fence, src operators.Operator, dests []operators.Operator, assignment []int) int {
+// by the key->replica assignment; it reports how many keys moved. self is
+// src's own slot in dests (-1 when src is not among them): keys assigned
+// to it stay put. The fence is the capability proving src's station is
+// paused and drained — exporting keys from a running operator would race
+// its own updates. (Unit tests exercising the bare data movement may pass
+// nil.)
+func migrateKeys(f *fence, src operators.Operator, self int, dests []operators.Operator, assignment []int) int {
 	_ = f // capability only: callers must hold the change's fence
 	ks, ok := src.(operators.KeyedState)
 	if !ok || len(assignment) == 0 {
@@ -1019,7 +1009,7 @@ func migrateKeys(f *fence, src operators.Operator, dests []operators.Operator, a
 	moved := 0
 	for _, k := range ks.StateKeys() {
 		r := assignment[int(k)%len(assignment)]
-		if r < 0 || r >= len(dests) {
+		if r == self || r < 0 || r >= len(dests) {
 			continue
 		}
 		dst, ok := dests[r].(operators.KeyedState)

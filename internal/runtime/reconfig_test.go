@@ -318,7 +318,7 @@ func TestMigrateKeys(t *testing.T) {
 	}
 	dests := []operators.Operator{build(), build()}
 	assignment := []int{0, 1, 0, 1}
-	moved := migrateKeys(nil, src, dests, assignment)
+	moved := migrateKeys(nil, src, -1, dests, assignment)
 	if moved != 4 {
 		t.Fatalf("moved %d keys, want 4", moved)
 	}
@@ -332,8 +332,20 @@ func TestMigrateKeys(t *testing.T) {
 			}
 		}
 	}
+	// A surviving instance keeps the keys assigned to its own slot.
+	keep := build()
+	for k := uint64(0); k < 4; k++ {
+		keep.Process(operators.Tuple{Key: k, Fields: []float64{1}}, func(operators.Tuple) {})
+	}
+	dests = []operators.Operator{keep, build()}
+	if moved := migrateKeys(nil, keep, 0, dests, assignment); moved != 2 {
+		t.Errorf("survivor moved %d keys, want 2 (only slot 1's)", moved)
+	}
+	if got := keep.(operators.KeyedState).StateKeys(); len(got) != 2 {
+		t.Errorf("survivor holds keys %v, want its own slot's 2", got)
+	}
 	// Non-keyed operators migrate nothing.
-	if n := migrateKeys(nil, operators.MustBuild(operators.Spec{Impl: "identity"}), dests, assignment); n != 0 {
+	if n := migrateKeys(nil, operators.MustBuild(operators.Spec{Impl: "identity"}), -1, dests, assignment); n != 0 {
 		t.Errorf("identity migrated %d keys", n)
 	}
 }

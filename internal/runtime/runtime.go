@@ -765,13 +765,15 @@ func (e *engine) buildMetrics(window float64, snap1, snap2 counterSnapshot) *Met
 	return m
 }
 
-func sleepCtx(ctx context.Context, d time.Duration) {
+// sleepCtx sleeps for d or until ctx ends, and returns ctx's error.
+func sleepCtx(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
 	case <-t.C:
 	}
+	return ctx.Err()
 }
 
 // runStation is the actor goroutine, structured as lifecycle segments: a
