@@ -278,9 +278,18 @@ func FuseWith(t *Topology, members []OpID, name string, solver Solver) (*Topolog
 	if err != nil {
 		return nil, nil, err
 	}
+	// Sum the exit volumes in target order, the order the exit edges are
+	// created in below: float addition is not associative, so summing in
+	// map order would make the meta-operator's selectivity (and with it
+	// the fused topology's Fingerprint) differ between runs in the last ulp.
+	targets := make([]OpID, 0, len(exits))
+	for x := range exits {
+		targets = append(targets, x)
+	}
+	sort.Slice(targets, func(a, b int) bool { return targets[a] < targets[b] })
 	outSel := 0.0
-	for _, w := range exits {
-		outSel += w
+	for _, x := range targets {
+		outSel += exits[x]
 	}
 	set := newMemberSet(members)
 
@@ -347,11 +356,6 @@ func FuseWith(t *Topology, members []OpID, name string, solver Solver) (*Topolog
 		}
 	}
 	if outSel > 0 {
-		targets := make([]OpID, 0, len(exits))
-		for x := range exits {
-			targets = append(targets, x)
-		}
-		sort.Slice(targets, func(a, b int) bool { return targets[a] < targets[b] })
 		for _, x := range targets {
 			if err := fused.Connect(fid, idMap[x], exits[x]/outSel); err != nil {
 				return nil, nil, fmt.Errorf("fuse: %w", err)

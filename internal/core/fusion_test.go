@@ -351,3 +351,39 @@ func TestFuseInvalidInputs(t *testing.T) {
 		t.Error("Fuse including the source succeeded")
 	}
 }
+
+func TestFuseOutputSelectivityIsDeterministic(t *testing.T) {
+	// The front-end a splits 0.1/0.2/0.3 to three external sinks and 0.4
+	// to member b (itself a sink), so the meta-operator has three exits
+	// whose float sum depends on the order it is taken in: 0.6 or
+	// 0.6000000000000001. Every fusion must pick the same one.
+	topo := NewTopology()
+	src := topo.MustAddOperator(Operator{Name: "src", Kind: KindSource, ServiceTime: 0.001})
+	a := topo.MustAddOperator(Operator{Name: "a", Kind: KindStateless, ServiceTime: 0.0002})
+	b := topo.MustAddOperator(Operator{Name: "b", Kind: KindSink, ServiceTime: 0.0001})
+	topo.MustConnect(src, a, 1)
+	for i, p := range []float64{0.1, 0.2, 0.3} {
+		x := topo.MustAddOperator(Operator{Name: "x" + string(rune('1'+i)), Kind: KindSink, ServiceTime: 0.0001})
+		topo.MustConnect(a, x, p)
+	}
+	topo.MustConnect(a, b, 0.4)
+
+	var sel float64
+	var fp uint64
+	for run := 0; run < 100; run++ {
+		fused, report, err := Fuse(topo, []OpID{a, b}, "F")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			sel, fp = report.OutputSelectivity, fused.Fingerprint()
+			continue
+		}
+		if got := report.OutputSelectivity; math.Float64bits(got) != math.Float64bits(sel) {
+			t.Fatalf("run %d: output selectivity %v, first run gave %v", run, got, sel)
+		}
+		if got := fused.Fingerprint(); got != fp {
+			t.Fatalf("run %d: fingerprint %x, first run gave %x", run, got, fp)
+		}
+	}
+}

@@ -1,10 +1,11 @@
 package xmlio
 
 import (
-	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 )
 
 // Pos is a 1-based line/column location in a topology document. The zero
@@ -27,7 +28,9 @@ type OperatorPos struct {
 
 // Positions locates the elements of a decoded Document, index-aligned
 // with Document.Operators, so validation errors and lint diagnostics can
-// point at the offending line and column.
+// point at the offending line and column. DecodeDocument records each
+// start tag's position in the same pass that decodes the element; columns
+// count bytes from the start of the line.
 type Positions struct {
 	Operators []OperatorPos
 }
@@ -86,73 +89,166 @@ func errAt(p Pos, format string, args ...any) error {
 // validation and returns element positions alongside it. It is the entry
 // point for the lint analyzers, which want to diagnose documents that
 // Read would reject outright.
+//
+// Decoding is one streaming token pass that builds the Document and its
+// Positions together, with no reflection. It accepts and rejects exactly
+// what xml.Unmarshal into Document would: the root must be <topology>;
+// operator, key, fused and output elements match only as direct children
+// (of the root, and of an operator); unknown elements and attributes are
+// skipped; a repeated attribute keeps its last value; and decoding stops
+// at the root's end tag.
 func DecodeDocument(r io.Reader) (*Document, *Positions, error) {
-	data, err := io.ReadAll(r)
+	doc, pos, err := decodeDocument(xml.NewDecoder(r))
 	if err != nil {
-		return nil, nil, fmt.Errorf("xmlio: %w", err)
-	}
-	var doc Document
-	if err := xml.Unmarshal(data, &doc); err != nil {
 		return nil, nil, fmt.Errorf("xmlio: parse: %w", err)
 	}
-	pos := scanPositions(data)
-	if pos != nil && len(pos.Operators) != len(doc.Operators) {
-		// The token scan disagreed with the decoder (should not happen);
-		// drop the positions rather than misattribute them.
-		pos = nil
-	}
-	return &doc, pos, nil
+	return doc, pos, nil
 }
 
-// scanPositions re-tokenizes data recording where each <operator>,
-// <output> and <key> start tag begins. The scan mirrors the order
-// encoding/xml decodes the elements in, so indices align with the
-// decoded Document.
-func scanPositions(data []byte) *Positions {
-	dec := xml.NewDecoder(bytes.NewReader(data))
+func decodeDocument(dec *xml.Decoder) (*Document, *Positions, error) {
+	root, _, ok, err := nextChild(dec)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !ok || root.Name.Local != "topology" {
+		return nil, nil, xml.UnmarshalError("expected element type <topology> but have <" + root.Name.Local + ">")
+	}
+	doc := &Document{XMLName: root.Name}
+	for _, a := range root.Attr {
+		if a.Name.Local == "name" {
+			doc.Name = a.Value
+		}
+	}
 	pos := &Positions{}
-	var cur *OperatorPos
-	depth := 0
 	for {
-		start := dec.InputOffset()
+		el, at, ok, err := nextChild(dec)
+		if err != nil || !ok {
+			return doc, pos, err
+		}
+		if el.Name.Local != "operator" {
+			if err := dec.Skip(); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
+		od, op, err := decodeOperator(dec, el, at)
+		if err != nil {
+			return nil, nil, err
+		}
+		doc.Operators = append(doc.Operators, od)
+		pos.Operators = append(pos.Operators, op)
+	}
+}
+
+// decodeOperator reads one <operator> element, whose start tag el at
+// position at has just been consumed, through its end tag.
+func decodeOperator(dec *xml.Decoder, el xml.StartElement, at Pos) (OperatorDoc, OperatorPos, error) {
+	od, op := OperatorDoc{}, OperatorPos{Start: at}
+	for _, a := range el.Attr {
+		var err error
+		switch a.Name.Local {
+		case "name":
+			od.Name = a.Value
+		case "type":
+			od.Type = a.Value
+		case "serviceTime":
+			od.ServiceTime = a.Value
+		case "impl":
+			od.Impl = a.Value
+		case "inputSelectivity":
+			od.InputSelectivity, err = parseFloat(a.Value)
+		case "outputSelectivity":
+			od.OutputSelectivity, err = parseFloat(a.Value)
+		case "replicas":
+			od.Replicas, err = parseInt(a.Value)
+		case "keysFile":
+			od.KeysFile = a.Value
+		}
+		if err != nil {
+			return od, op, err
+		}
+	}
+	for {
+		child, at, ok, err := nextChild(dec)
+		if err != nil || !ok {
+			return od, op, err
+		}
+		switch child.Name.Local {
+		case "key":
+			var k KeyDoc
+			for _, a := range child.Attr {
+				if a.Name.Local == "frequency" {
+					if k.Frequency, err = parseFloat(a.Value); err != nil {
+						return od, op, err
+					}
+				}
+			}
+			od.Keys = append(od.Keys, k)
+			op.Keys = append(op.Keys, at)
+		case "fused":
+			var f FusedDoc
+			for _, a := range child.Attr {
+				if a.Name.Local == "name" {
+					f.Name = a.Value
+				}
+			}
+			od.Fused = append(od.Fused, f)
+		case "output":
+			var o OutputDoc
+			for _, a := range child.Attr {
+				switch a.Name.Local {
+				case "to":
+					o.To = a.Value
+				case "probability":
+					if o.Probability, err = parseFloat(a.Value); err != nil {
+						return od, op, err
+					}
+				}
+			}
+			od.Outputs = append(od.Outputs, o)
+			op.Outputs = append(op.Outputs, at)
+		}
+		if err := dec.Skip(); err != nil {
+			return od, op, err
+		}
+	}
+}
+
+// nextChild advances to the next child element of the element being
+// decoded and returns its start tag with the tag's position, or ok=false
+// at the element's end tag. The caller consumes each child through its
+// end tag before asking for the next. Positions come from the decoder's
+// own line count, read before each token: markup always starts a fresh
+// token, so that is where a start tag's '<' is.
+func nextChild(dec *xml.Decoder) (el xml.StartElement, at Pos, ok bool, err error) {
+	for {
+		line, col := dec.InputPos()
 		tok, err := dec.Token()
 		if err != nil {
-			if err == io.EOF {
-				return pos
-			}
-			return nil
+			return el, at, false, err
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			depth++
-			p := lineCol(data, start)
-			switch {
-			case depth == 2 && t.Name.Local == "operator":
-				pos.Operators = append(pos.Operators, OperatorPos{Start: p})
-				cur = &pos.Operators[len(pos.Operators)-1]
-			case depth == 3 && cur != nil && t.Name.Local == "output":
-				cur.Outputs = append(cur.Outputs, p)
-			case depth == 3 && cur != nil && t.Name.Local == "key":
-				cur.Keys = append(cur.Keys, p)
-			}
+			return t, Pos{Line: line, Col: col}, true, nil
 		case xml.EndElement:
-			depth--
-			if depth < 2 {
-				cur = nil
-			}
+			return el, at, false, nil
 		}
 	}
 }
 
-// lineCol converts a byte offset into a 1-based line/column pair. The
-// offset points at the '<' of a start tag, which token scanning
-// guarantees: offsets are taken before each Token call, and markup
-// always starts a fresh token.
-func lineCol(data []byte, off int64) Pos {
-	if off < 0 || off > int64(len(data)) {
-		return Pos{}
+// parseFloat and parseInt read numeric attributes the way xml.Unmarshal
+// does: an empty value is 0, anything else is trimmed and parsed.
+func parseFloat(s string) (float64, error) {
+	if s == "" {
+		return 0, nil
 	}
-	line := 1 + bytes.Count(data[:off], []byte{'\n'})
-	col := int(off) - bytes.LastIndexByte(data[:off], '\n')
-	return Pos{Line: line, Col: col}
+	return strconv.ParseFloat(strings.TrimSpace(s), 64)
+}
+
+func parseInt(s string) (int, error) {
+	if s == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, strconv.IntSize)
+	return int(v), err
 }
